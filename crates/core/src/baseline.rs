@@ -162,16 +162,9 @@ impl Step1Engine for RTreeBaseline {
     }
 
     /// Best-first branch-and-prune over the R*-tree: all objects with
-    /// non-zero qualification probability.
-    fn step1(&self, q: &Point) -> (Vec<u64>, Step1Stats) {
-        let mut ids = Vec::new();
-        let stats = self.step1_into(q, &mut ids, &mut FetchScratch::default());
-        (ids, stats)
-    }
-
-    /// Buffer-reusing branch-and-prune (the best-first iterator itself still
-    /// maintains its own heap, so unlike the PV-index this path is lean but
-    /// not allocation-free).
+    /// non-zero qualification probability. Buffer-reusing, but the
+    /// best-first iterator still maintains its own heap, so unlike the
+    /// PV-index this path is lean but not allocation-free.
     fn step1_into(&self, q: &Point, ids: &mut Vec<u64>, scratch: &mut FetchScratch) -> Step1Stats {
         let t0 = Instant::now();
         let leaf0 = self.tree.stats.leaf_visits.load(Ordering::Relaxed);
@@ -210,15 +203,8 @@ impl ProbNnEngine for RTreeBaseline {
         &self.objects[&id].region
     }
 
-    /// Serves the payload from the in-memory catalog, charging the same
-    /// pdf-payload pages as the PV-index's storage model.
-    fn fetch_candidate(&self, id: u64) -> (UncertainObject, u64) {
-        let o = self.objects[&id].clone();
-        let io = pdf_payload_pages(&o, self.page_size);
-        (o, io)
-    }
-
-    /// Serves distances straight from the in-memory catalog — no clone.
+    /// Serves distances straight from the in-memory catalog — no clone —
+    /// charging the same pdf-payload pages as the PV-index's storage model.
     fn fetch_dists_sq(
         &self,
         id: u64,

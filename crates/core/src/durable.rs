@@ -893,10 +893,7 @@ mod tests {
         let err = db.insert(obj(101, 60.0));
         assert!(matches!(err, Err(DbError::Wal(_))), "{err:?}");
         assert!(db.is_poisoned(), "unrolled-back append must poison");
-        assert!(matches!(
-            db.insert(obj(102, 70.0)),
-            Err(DbError::Poisoned)
-        ));
+        assert!(matches!(db.insert(obj(102, 70.0)), Err(DbError::Poisoned)));
         // Reopening recovers (the leftover record is acknowledged-looking
         // but consistent, so replay accepts it — zero-loss still holds for
         // everything that was acknowledged).

@@ -25,7 +25,7 @@ use crate::cset::{build_mean_tree, choose_cset};
 use crate::db::{PersistentEngine, WritableEngine};
 use crate::error::DbError;
 use crate::params::{CSetStrategy, PvParams};
-use crate::prob::{payload_pages, pdf_payload_pages};
+use crate::prob::payload_pages;
 use crate::query::{FetchScratch, ProbNnEngine, Step1Engine};
 use crate::se::{compute_ubr, compute_ubr_with_bounds, SeBounds};
 use crate::stats::{BuildStats, SeStats, Step1Stats, UpdateStats};
@@ -148,8 +148,8 @@ pub fn decode_secondary(
     let mut r = codec::Reader::new(buf);
     match r.try_u16()? {
         0 => {
-            let lo: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?; // pv-lint: allow(hot-path-no-alloc, reason = "decoder constructing an owned object; the hot path streams the record bytes via get_into + EncodedObject")
-            let hi: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?; // pv-lint: allow(hot-path-no-alloc, reason = "decoder constructing an owned object; the hot path streams the record bytes via get_into + EncodedObject")
+            let lo: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
+            let hi: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
             let ubr = HyperRect::new(lo, hi);
             // The Reader just consumed exactly this prefix, so the tail
             // window is always present; `get` keeps the decoder total.
@@ -158,8 +158,8 @@ pub fn decode_secondary(
         }
         1 => {
             let steps = r.try_u16()?;
-            let lo: Vec<u16> = (0..dim).map(|_| r.try_u16()).collect::<Result<_, _>>()?; // pv-lint: allow(hot-path-no-alloc, reason = "decoder constructing an owned object; the hot path streams the record bytes via get_into + EncodedObject")
-            let hi: Vec<u16> = (0..dim).map(|_| r.try_u16()).collect::<Result<_, _>>()?; // pv-lint: allow(hot-path-no-alloc, reason = "decoder constructing an owned object; the hot path streams the record bytes via get_into + EncodedObject")
+            let lo: Vec<u16> = (0..dim).map(|_| r.try_u16()).collect::<Result<_, _>>()?;
+            let hi: Vec<u16> = (0..dim).map(|_| r.try_u16()).collect::<Result<_, _>>()?;
             let q = pv_geom::QuantizedRect { lo, hi, steps };
             let ubr = q.decode(domain);
             let obj = UncertainObject::try_decode(buf.get(2 + 2 + dim * 4..).unwrap_or_default())?;
@@ -833,16 +833,10 @@ impl Step1Engine for PvIndex {
     }
 
     /// PNNQ Step 1: descend to the leaf containing `q`, then prune with the
-    /// min/max-distance filter (§VI-A "Query Evaluation").
-    fn step1(&self, q: &Point) -> (Vec<u64>, Step1Stats) {
-        let mut ids = Vec::new(); // pv-lint: allow(hot-path-no-alloc, reason = "allocating convenience tier of Step1Engine; hot callers use step1_into with reused buffers")
-        let stats = self.step1_into(q, &mut ids, &mut FetchScratch::default());
-        (ids, stats)
-    }
-
-    /// Allocation-free Step 1: streams the leaf records straight from the
-    /// page chain, computing each candidate's `distmin²`/`distmax²` from the
-    /// record bytes — no rectangle is ever materialised.
+    /// min/max-distance filter (§VI-A "Query Evaluation"). Allocation-free:
+    /// streams the leaf records straight from the page chain, computing each
+    /// candidate's `distmin²`/`distmax²` from the record bytes — no
+    /// rectangle is ever materialised.
     fn step1_into(&self, q: &Point, ids: &mut Vec<u64>, scratch: &mut FetchScratch) -> Step1Stats {
         let t0 = Instant::now();
         let io0 = self.pager.stats().reads.load(Ordering::Relaxed);
@@ -878,28 +872,12 @@ impl ProbNnEngine for PvIndex {
         &self.objects[&id].region
     }
 
-    /// Fetches the uncertainty info from the secondary index (charges real
-    /// page reads), then charges the pdf payload pages the instances would
-    /// occupy on disk.
-    fn fetch_candidate(&self, id: u64) -> (UncertainObject, u64) {
-        let io0 = self.pager.stats().snapshot();
-        let buf = self
-            .secondary
-            .get(id)
-            .expect("step-1 answer must exist in the secondary index"); // pv-lint: allow(hot-path-no-panic, reason = "id is a Step-1 answer; absence from the secondary index is corruption and must fail loudly")
-        let (_, obj) =
-            decode_secondary(&buf, self.dim, &self.domain).expect("secondary record corrupted"); // pv-lint: allow(hot-path-no-panic, reason = "record bytes come from this index's own secondary; decode failure is corruption and must fail loudly")
-        let io = self.pager.stats().snapshot().since(&io0).reads;
-        let total = io + pdf_payload_pages(&obj, self.params.page_size);
-        (obj, total)
-    }
-
     /// The Step-2 hot path: copies the secondary record into the scratch
     /// buffer (its real page reads metered with a narrow per-fetch counter
-    /// bracket, like [`PvIndex::fetch_candidate`]) and streams the instance
-    /// distances out of the encoded bytes — no `UncertainObject`, no
-    /// `HyperRect`, no `Point` is materialised. Returns the index reads
-    /// plus the modelled pdf-payload pages.
+    /// bracket) and streams the instance distances out of the encoded
+    /// bytes — no `UncertainObject`, no `HyperRect`, no `Point` is
+    /// materialised. Returns the index reads plus the modelled pdf-payload
+    /// pages.
     fn fetch_dists_sq(
         &self,
         id: u64,
@@ -915,8 +893,9 @@ impl ProbNnEngine for PvIndex {
         let io = self.pager.stats().reads.load(Ordering::Relaxed) - io0;
         let off = secondary_payload_offset(&scratch.record, self.dim)
             .expect("secondary record corrupted"); // pv-lint: allow(hot-path-no-panic, reason = "get_into just returned true, so the record was fetched from this index's own secondary; a malformed header is corruption and must fail loudly")
-        let view = pv_uncertain::EncodedObject::parse(scratch.record.get(off..).unwrap_or_default())
-            .expect("secondary record corrupted"); // pv-lint: allow(hot-path-no-panic, reason = "payload offset was just validated by secondary_payload_offset; a malformed payload is corruption and must fail loudly")
+        let view =
+            pv_uncertain::EncodedObject::parse(scratch.record.get(off..).unwrap_or_default())
+                .expect("secondary record corrupted"); // pv-lint: allow(hot-path-no-panic, reason = "payload offset was just validated by secondary_payload_offset; a malformed payload is corruption and must fail loudly")
         view.dists_sq_into(q, &mut scratch.samples, out);
         io + payload_pages(view.n_samples(), self.dim, self.params.page_size)
     }

@@ -14,13 +14,14 @@
 //!   [`Step1Stats`]/[`QueryStats`], and a truncation flag;
 //! * [`Step1Engine`] — candidate retrieval (PNNQ Step 1), implemented by
 //!   every index in the workspace;
-//! * [`ProbNnEngine`] — full PNNQ. Engines implement two required hooks
-//!   ([`ProbNnEngine::candidate_region`], [`ProbNnEngine::fetch_candidate`])
-//!   plus, for the allocation-free hot path, the buffer-reusing overrides
-//!   [`Step1Engine::step1_into`] and [`ProbNnEngine::fetch_dists_sq`], and
-//!   inherit the entire Step-2 pipeline: squared-distance candidate
-//!   ordering, early termination, the merged-CDF probability sweep, answer
-//!   semantics, and batching
+//! * [`ProbNnEngine`] — full PNNQ. Engines implement one hook per paper
+//!   step, each writing into caller-owned buffers: Step 1 is
+//!   [`Step1Engine::step1_into`], Step 2 is [`ProbNnEngine::fetch_dists_sq`]
+//!   (plus [`ProbNnEngine::candidate_region`] for ordering). There is no
+//!   second, allocating tier to implement: [`Step1Engine::step1`] is a
+//!   provided wrapper, and engines inherit the entire Step-2 pipeline:
+//!   squared-distance candidate ordering, early termination, the merged-CDF
+//!   probability sweep, answer semantics, and batching
 //!   ([`ProbNnEngine::query_batch`] / [`ProbNnEngine::query_batch_into`]
 //!   with reusable [`BatchSlots`]).
 //!
@@ -95,7 +96,6 @@ use crate::error::QueryError;
 use crate::prob::{qualification_sweep_into, ProbScratch};
 use crate::stats::{QueryStats, Step1Stats};
 use pv_geom::{min_dist_sq, HyperRect, Point};
-use pv_uncertain::UncertainObject;
 use std::time::{Duration, Instant};
 
 /// Engine-side reusable buffers: everything an engine needs to run Step 1
@@ -166,8 +166,7 @@ impl BatchSlots {
 /// (a template for [`ProbNnEngine::query_batch`] /
 /// [`ProbNnEngine::execute`]), then chain the `with_*` builder methods.
 /// Each builder has a symmetric getter of the bare name
-/// (`with_threshold(τ)` ↔ `threshold()`); the pre-PR-5 `get_*` getters
-/// survive as deprecated shims.
+/// (`with_threshold(τ)` ↔ `threshold()`).
 ///
 /// ```
 /// use pv_core::query::QuerySpec;
@@ -289,30 +288,6 @@ impl QuerySpec {
 
     /// The requested batch parallelism, if any.
     pub fn batch_threads(&self) -> Option<usize> {
-        self.batch_threads
-    }
-
-    /// Deprecated alias of [`QuerySpec::threshold`].
-    #[deprecated(since = "0.5.0", note = "renamed to `threshold()`")]
-    pub fn get_threshold(&self) -> Option<f64> {
-        self.threshold
-    }
-
-    /// Deprecated alias of [`QuerySpec::top_k`].
-    #[deprecated(since = "0.5.0", note = "renamed to `top_k()`")]
-    pub fn get_top_k(&self) -> Option<usize> {
-        self.top_k
-    }
-
-    /// Deprecated alias of [`QuerySpec::io_budget`].
-    #[deprecated(since = "0.5.0", note = "renamed to `io_budget()`")]
-    pub fn get_io_budget(&self) -> Option<u64> {
-        self.io_budget
-    }
-
-    /// Deprecated alias of [`QuerySpec::batch_threads`].
-    #[deprecated(since = "0.5.0", note = "renamed to `batch_threads()`")]
-    pub fn get_batch_threads(&self) -> Option<usize> {
         self.batch_threads
     }
 
@@ -444,27 +419,25 @@ pub trait Step1Engine {
         self.len() == 0
     }
 
-    /// Retrieves the candidate ids (ascending) with retrieval statistics.
+    /// PNNQ Step 1, the required retrieval hook: writes the candidate ids
+    /// (ascending) into `ids` (cleared first) and returns the retrieval
+    /// statistics, reusing `scratch` so a warmed query performs no heap
+    /// allocation.
     ///
     /// Step 1 is infallible by contract: callers reach it through the
     /// validated [`ProbNnEngine::execute_into`] driver (or validate
-    /// themselves when calling it directly).
-    fn step1(&self, q: &Point) -> (Vec<u64>, Step1Stats);
+    /// themselves when calling it directly). The per-phase statistics must
+    /// be measured with a single clock / I/O-counter pair around the whole
+    /// retrieval — never inside the candidate loop.
+    fn step1_into(&self, q: &Point, ids: &mut Vec<u64>, scratch: &mut FetchScratch) -> Step1Stats;
 
-    /// Buffer-reusing Step 1: writes the candidate ids (ascending) into
-    /// `ids` (cleared first) and returns the retrieval statistics. Engines
-    /// override this with an allocation-free retrieval path; the default
-    /// wraps [`Step1Engine::step1`] and merely recycles the output vector.
-    ///
-    /// The per-phase statistics must be measured with a single clock /
-    /// I/O-counter pair around the whole retrieval — never inside the
-    /// candidate loop (see [`ProbNnEngine::execute_into`]).
-    fn step1_into(&self, q: &Point, ids: &mut Vec<u64>, scratch: &mut FetchScratch) -> Step1Stats {
-        let _ = scratch;
-        let (got, stats) = self.step1(q);
-        ids.clear();
-        ids.extend_from_slice(&got);
-        stats
+    /// Retrieves the candidate ids (ascending) with retrieval statistics:
+    /// [`Step1Engine::step1_into`] with fresh buffers, for callers outside
+    /// the query loop.
+    fn step1(&self, q: &Point) -> (Vec<u64>, Step1Stats) {
+        let mut ids = Vec::new();
+        let stats = self.step1_into(q, &mut ids, &mut FetchScratch::default());
+        (ids, stats)
     }
 }
 
@@ -473,41 +446,89 @@ pub trait Step1Engine {
 /// Implementors provide the two data-access hooks; the whole Step-2
 /// pipeline — input validation, candidate ordering, early termination,
 /// probability computation, answer semantics and batching — is inherited.
+///
+/// A complete engine is the required hooks and nothing else — here a toy
+/// in-memory scan that answers exactly like [`LinearScan`](crate::verify::LinearScan):
+///
+/// ```
+/// use pv_core::query::{FetchScratch, ProbNnEngine, QuerySpec, Step1Engine};
+/// use pv_core::stats::Step1Stats;
+/// use pv_core::verify::{possible_nn, LinearScan};
+/// use pv_geom::{HyperRect, Point};
+/// use pv_uncertain::{UncertainDb, UncertainObject};
+///
+/// struct Scan(Vec<UncertainObject>);
+///
+/// impl Scan {
+///     fn get(&self, id: u64) -> &UncertainObject {
+///         self.0.iter().find(|o| o.id == id).expect("Step-1 ids are indexed")
+///     }
+/// }
+///
+/// impl Step1Engine for Scan {
+///     fn engine_name(&self) -> &'static str {
+///         "toy-scan"
+///     }
+///     fn dim(&self) -> usize {
+///         2
+///     }
+///     fn len(&self) -> usize {
+///         self.0.len()
+///     }
+///     fn step1_into(&self, q: &Point, ids: &mut Vec<u64>, _: &mut FetchScratch) -> Step1Stats {
+///         ids.clear();
+///         ids.extend(possible_nn(&self.0, q));
+///         Step1Stats { candidates: ids.len(), answers: ids.len(), ..Default::default() }
+///     }
+/// }
+///
+/// impl ProbNnEngine for Scan {
+///     fn candidate_region(&self, id: u64) -> &HyperRect {
+///         &self.get(id).region
+///     }
+///     fn fetch_dists_sq(&self, id: u64, q: &Point, out: &mut Vec<f64>, s: &mut FetchScratch) -> u64 {
+///         self.get(id).dists_sq_into(q, &mut s.samples, out);
+///         0
+///     }
+/// }
+///
+/// let objects: Vec<_> = (0..12u64)
+///     .map(|i| {
+///         let (x, y) = ((i % 4) as f64 * 9.0, (i / 4) as f64 * 9.0);
+///         UncertainObject::uniform(i, HyperRect::new(vec![x, y], vec![x + 7.0, y + 7.0]), 32)
+///     })
+///     .collect();
+/// let scan = LinearScan::new(&UncertainDb::new(HyperRect::cube(2, 0.0, 40.0), objects.clone()));
+/// let toy = Scan(objects);
+/// for (x, y) in [(0.0, 0.0), (8.0, 8.0), (20.5, 3.0), (39.0, 39.0)] {
+///     let spec = QuerySpec::point(Point::new(vec![x, y]));
+///     let (got, want) = (toy.run(&spec).unwrap(), scan.run(&spec).unwrap());
+///     assert_eq!(got.candidates, want.candidates);
+///     assert_eq!(got.answers, want.answers);
+/// }
+/// let q = Point::new(vec![1.0, 1.0]);
+/// assert_eq!(toy.step1(&q).0, scan.step1(&q).0); // the provided wrapper
+/// ```
 pub trait ProbNnEngine: Step1Engine {
     /// The uncertainty region of a Step-1 candidate, served by reference
     /// from the engine's in-memory catalog (no I/O is charged; used for
     /// candidate ordering and pruning).
     fn candidate_region(&self, id: u64) -> &HyperRect;
 
-    /// Fetches a candidate's full payload, returning the object and the
-    /// number of pages the fetch charged (index pages actually read plus
-    /// the pdf-payload pages of the storage model). This is the maintenance
-    /// / inspection path; the query driver uses
-    /// [`ProbNnEngine::fetch_dists_sq`], which never materialises the
-    /// object.
-    fn fetch_candidate(&self, id: u64) -> (UncertainObject, u64);
-
-    /// Appends candidate `id`'s **squared** instance distances to `q` onto
-    /// `out` and returns the pages the fetch charged (real index page reads
-    /// plus the modelled pdf-payload pages) — the same accounting contract
-    /// as [`ProbNnEngine::fetch_candidate`]. Engines with a shared pager
-    /// meter their reads with a *narrow* per-fetch counter bracket, so under
-    /// a parallel batch a concurrent query's reads can only leak into the
-    /// attribution during the fetch itself, not across the whole Step-2
-    /// phase. Engines override this with a decode-into-buffer path; the
-    /// default materialises the object via
-    /// [`ProbNnEngine::fetch_candidate`] — correct, but allocating.
+    /// PNNQ Step 2, the required payload hook: appends candidate `id`'s
+    /// **squared** instance distances to `q` onto `out` and returns the
+    /// pages the fetch charged (index pages actually read plus the
+    /// modelled pdf-payload pages). Engines with a shared pager meter their
+    /// reads with a *narrow* per-fetch counter bracket, so under a parallel
+    /// batch a concurrent query's reads can only leak into the attribution
+    /// during the fetch itself, not across the whole Step-2 phase.
     fn fetch_dists_sq(
         &self,
         id: u64,
         q: &Point,
         out: &mut Vec<f64>,
         scratch: &mut FetchScratch,
-    ) -> u64 {
-        let (obj, io) = self.fetch_candidate(id);
-        obj.dists_sq_into(q, &mut scratch.samples, out);
-        io
-    }
+    ) -> u64;
 
     /// Validates `q` against the engine: dimensionality must match and at
     /// least one object must be indexed. Shared by every evaluation entry
@@ -772,7 +793,7 @@ pub trait ProbNnEngine: Step1Engine {
 mod tests {
     use super::*;
     use crate::verify::LinearScan;
-    use pv_uncertain::{Pdf, UncertainDb};
+    use pv_uncertain::{Pdf, UncertainDb, UncertainObject};
     use std::sync::Arc;
 
     fn explicit(id: u64, lo: &[f64], hi: &[f64], pts: &[&[f64]]) -> UncertainObject {
@@ -1028,19 +1049,5 @@ mod tests {
             ..Default::default()
         };
         assert!((real.queries_per_sec() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_getter_shims_still_answer() {
-        let spec = QuerySpec::new()
-            .with_threshold(0.25)
-            .with_top_k(3)
-            .with_io_budget(9)
-            .with_batch_threads(2);
-        assert_eq!(spec.get_threshold(), spec.threshold());
-        assert_eq!(spec.get_top_k(), spec.top_k());
-        assert_eq!(spec.get_io_budget(), spec.io_budget());
-        assert_eq!(spec.get_batch_threads(), spec.batch_threads());
     }
 }

@@ -45,22 +45,6 @@ pub fn possible_nn<'a>(
     out
 }
 
-/// Same as [`possible_nn`] with timing, for harness use.
-pub fn possible_nn_timed<'a>(
-    objects: impl IntoIterator<Item = &'a UncertainObject>,
-    q: &Point,
-) -> (Vec<u64>, Step1Stats) {
-    let t0 = Instant::now();
-    let ids = possible_nn(objects, q);
-    let stats = Step1Stats {
-        time: t0.elapsed(),
-        io_reads: 0,
-        candidates: ids.len(),
-        answers: ids.len(),
-    };
-    (ids, stats)
-}
-
 /// The naive linear scan packaged as a query engine: the ground-truth
 /// implementation of the [`Step1Engine`]/[`ProbNnEngine`] traits.
 ///
@@ -134,10 +118,6 @@ impl Step1Engine for LinearScan {
         self.objects.len()
     }
 
-    fn step1(&self, q: &Point) -> (Vec<u64>, Step1Stats) {
-        possible_nn_timed(self.objects.iter(), q)
-    }
-
     /// Allocation-free scan: same two passes as [`possible_nn`] (threshold
     /// fold, then filter), writing into the reused `ids` buffer.
     fn step1_into(&self, q: &Point, ids: &mut Vec<u64>, _scratch: &mut FetchScratch) -> Step1Stats {
@@ -167,12 +147,6 @@ impl Step1Engine for LinearScan {
 impl ProbNnEngine for LinearScan {
     fn candidate_region(&self, id: u64) -> &HyperRect {
         &self.object(id).region
-    }
-
-    fn fetch_candidate(&self, id: u64) -> (UncertainObject, u64) {
-        let o = self.object(id).clone();
-        let io = pdf_payload_pages(&o, self.page_size);
-        (o, io)
     }
 
     /// Serves distances straight from the in-memory catalog — no clone.
@@ -359,15 +333,6 @@ mod tests {
         let q = Point::new(vec![4.5, 4.5]); // inside both
         let ids = possible_nn(objs.iter(), &q);
         assert_eq!(ids, vec![1, 2]);
-    }
-
-    #[test]
-    fn timed_variant_agrees() {
-        let objs = [mk(1, &[0.0], &[1.0]), mk(2, &[5.0], &[6.0])];
-        let q = Point::new(vec![0.5]);
-        let (ids, stats) = possible_nn_timed(objs.iter(), &q);
-        assert_eq!(ids, possible_nn(objs.iter(), &q));
-        assert_eq!(stats.answers, ids.len());
     }
 
     #[test]

@@ -73,10 +73,14 @@ impl QuantizedRect {
     /// it (`dists_sq_into` works on the encoded bytes).
     pub fn decode(&self, domain: &HyperRect) -> HyperRect {
         let d = self.lo.len();
-        let mut lo = Vec::with_capacity(d); // pv-lint: allow(hot-path-no-alloc, reason = "constructor returning an owned HyperRect; hot path never materialises rectangles")
-        let mut hi = Vec::with_capacity(d); // pv-lint: allow(hot-path-no-alloc, reason = "constructor returning an owned HyperRect; hot path never materialises rectangles")
-        for (((&ql, &qh), &dl), &dh) in
-            self.lo.iter().zip(&self.hi).zip(domain.lo()).zip(domain.hi())
+        let mut lo = Vec::with_capacity(d);
+        let mut hi = Vec::with_capacity(d);
+        for (((&ql, &qh), &dl), &dh) in self
+            .lo
+            .iter()
+            .zip(&self.hi)
+            .zip(domain.lo())
+            .zip(domain.hi())
         {
             let extent = dh - dl;
             let step = extent / self.steps as f64;

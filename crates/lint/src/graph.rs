@@ -47,6 +47,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// Method names so common on std/container types that name-based
 /// resolution would be wrong more often than right. Calls to these resolve
 /// to the unknown node; see the module docs for the asymmetry argument.
+#[rustfmt::skip]
 pub const STD_SHADOWED: &[&str] = &[
     "all", "and_then", "any", "append", "as_bytes", "as_mut", "as_ref", "as_slice", "chain",
     "clear", "clone", "cloned", "cmp", "collect", "contains", "contains_key", "copied", "count",
@@ -185,8 +186,7 @@ impl Graph {
                             // Method/macro unknowns are noise (std); record
                             // only the plain/qualified ones rules can act on.
                             if matches!(call.callee, Callee::Free(_) | Callee::Qualified(..)) {
-                                unknown_calls[id]
-                                    .push((call.callee.name().to_string(), call.line));
+                                unknown_calls[id].push((call.callee.name().to_string(), call.line));
                             }
                         }
                     }
@@ -242,7 +242,8 @@ impl Graph {
     /// plain/qualified calls.
     pub fn to_dot(&self, paths: &[&str], closures: &[(String, Vec<bool>)]) -> String {
         const FILLS: &[&str] = &["lightskyblue", "palegreen", "khaki", "lightsalmon", "plum"];
-        let mut out = String::from("digraph pv_lint {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
+        let mut out =
+            String::from("digraph pv_lint {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
         for (ci, (rule, closure)) in closures.iter().enumerate() {
             let n = closure.iter().filter(|&&r| r).count();
             out.push_str(&format!(
@@ -294,7 +295,9 @@ impl Graph {
 /// `foo::bar` module-path heuristic: qualifiers that start lowercase are
 /// module paths, not types, per Rust naming convention.
 fn is_module_like(q: &str) -> bool {
-    q.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
+    q.chars()
+        .next()
+        .is_some_and(|c| c.is_lowercase() || c == '_')
 }
 
 fn display_name(n: &Node) -> String {
@@ -343,7 +346,7 @@ mod tests {
     }
 
     fn reached_names(g: &Graph, patterns: &[&str]) -> Vec<String> {
-        let pats: Vec<String> = patterns.iter().map(|s| s.to_string()).collect();
+        let pats: Vec<String> = patterns.iter().map(ToString::to_string).collect();
         let mask = g.closure(&pats);
         g.nodes
             .iter()

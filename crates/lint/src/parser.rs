@@ -207,17 +207,15 @@ impl<'a> Parser<'a> {
 
     /// Innermost enclosing impl/trait qualifier.
     fn enclosing_qual(&self) -> (Option<String>, Option<String>) {
-        for s in self.scopes.iter().rev() {
-            match &s.kind {
-                ScopeKind::Impl {
-                    self_ty,
-                    trait_name,
-                } => return (self_ty.clone(), trait_name.clone()),
-                ScopeKind::Trait { name } => return (Some(name.clone()), None),
-                ScopeKind::Fn { .. } => return (None, None), // fns nested in fns are free
-            }
+        match self.scopes.last().map(|s| &s.kind) {
+            Some(ScopeKind::Impl {
+                self_ty,
+                trait_name,
+            }) => (self_ty.clone(), trait_name.clone()),
+            Some(ScopeKind::Trait { name }) => (Some(name.clone()), None),
+            // fns nested in fns are free
+            Some(ScopeKind::Fn { .. }) | None => (None, None),
         }
-        (None, None)
     }
 
     /// At an `impl` keyword: parse the header (`impl<G> [Trait for] Type
@@ -296,8 +294,10 @@ impl<'a> Parser<'a> {
                 angle -= 1;
             } else if angle <= 0 && self.is_punct(j, "{") {
                 let close = self.brace_match[j].unwrap_or(self.sig.len());
-                self.scopes
-                    .push(Scope { kind: ScopeKind::Trait { name }, close });
+                self.scopes.push(Scope {
+                    kind: ScopeKind::Trait { name },
+                    close,
+                });
                 return j + 1;
             } else if angle <= 0 && self.is_punct(j, ";") {
                 return j + 1; // associated-type-like or malformed
@@ -536,7 +536,10 @@ mod tests {
     }
 
     fn call_names(item: &Item) -> Vec<String> {
-        item.calls.iter().map(|c| c.callee.name().to_string()).collect()
+        item.calls
+            .iter()
+            .map(|c| c.callee.name().to_string())
+            .collect()
     }
 
     #[test]
@@ -655,7 +658,10 @@ impl<T> Iterator for Iter<T> { fn next(&mut self) -> Option<T> { None } }
         let src = "fn a() { x() }\n\npub fn b(v: u32) -> u32 { v }\n";
         let it = items(src);
         assert_eq!(&src[it[0].span.0..it[0].span.1], "fn a() { x() }");
-        assert_eq!(&src[it[1].span.0..it[1].span.1], "fn b(v: u32) -> u32 { v }");
+        assert_eq!(
+            &src[it[1].span.0..it[1].span.1],
+            "fn b(v: u32) -> u32 { v }"
+        );
     }
 
     #[test]

@@ -104,9 +104,10 @@ impl LintReport {
         }
         out.push_str("]}},\n    \"results\": [");
         let mut first = true;
-        for (diags, level, suppressed) in
-            [(&self.diagnostics, "error", false), (&self.waived, "note", true)]
-        {
+        for (diags, level, suppressed) in [
+            (&self.diagnostics, "error", false),
+            (&self.waived, "note", true),
+        ] {
             for d in diags.iter() {
                 if !first {
                     out.push(',');
@@ -218,9 +219,8 @@ impl Baseline {
                 _ => i += 1, // whitespace and anything exotic
             }
         }
-        let num = |t: &(u8, String)| -> Option<u64> {
-            (t.0 == b'n').then(|| t.1.parse().ok()).flatten()
-        };
+        let num =
+            |t: &(u8, String)| -> Option<u64> { (t.0 == b'n').then(|| t.1.parse().ok()).flatten() };
         let mut k = 0usize;
         while k + 10 < toks.len() {
             let w = &toks[k..k + 11];
@@ -394,7 +394,9 @@ mod tests {
         assert_eq!(msgs.len(), 2, "{msgs:?}");
         // a rule absent from the baseline must enter clean
         let mut new_rule = base.clone();
-        new_rule.rules.insert("wal-append-paired".to_string(), (1, 0));
+        new_rule
+            .rules
+            .insert("wal-append-paired".to_string(), (1, 0));
         assert_eq!(base.regressions(&new_rule).len(), 1);
         // shrinking is fine
         let mut better = base.clone();

@@ -1071,7 +1071,8 @@ fn wal_append_paired(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
         if it.body.is_none() || a.in_test(it.line) {
             continue;
         }
-        let non_macro = |c: &&crate::parser::CallSite| !matches!(c.callee, crate::parser::Callee::Macro(_));
+        let non_macro =
+            |c: &&crate::parser::CallSite| !matches!(c.callee, crate::parser::Callee::Macro(_));
         let appends: Vec<_> = it
             .calls
             .iter()
@@ -1090,9 +1091,11 @@ fn wal_append_paired(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
             if a.in_test(call.line) {
                 continue;
             }
-            let mark_before = it.calls.iter().filter(non_macro).any(|c| {
-                c.callee.name() == "mark" && c.sig_index < call.sig_index
-            });
+            let mark_before = it
+                .calls
+                .iter()
+                .filter(non_macro)
+                .any(|c| c.callee.name() == "mark" && c.sig_index < call.sig_index);
             let sync_after = it.calls.iter().filter(non_macro).any(|c| {
                 matches!(c.callee.name(), "sync" | "sync_data" | "sync_all")
                     && c.sig_index > call.sig_index

@@ -158,7 +158,9 @@ fn wal_append_paired_fires() {
     assert_eq!(lines(&active), vec![7, 7, 7, 7, 11], "{active:?}");
     assert!(active.iter().all(|d| d.rule == "wal-append-paired"));
     assert!(
-        active.iter().any(|d| d.line == 11 && d.message.contains("dropped")),
+        active
+            .iter()
+            .any(|d| d.line == 11 && d.message.contains("dropped")),
         "{active:?}"
     );
     assert!(waived.is_empty());

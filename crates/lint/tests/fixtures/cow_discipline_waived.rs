@@ -1,5 +1,5 @@
 //! Fixture: the designated dirty-copy helper carries a reasoned waiver,
-//! exactly like `MemPager::write` and `BufferPool::write` in pv-storage.
+//! exactly like `MemPager::write` in pv-storage.
 
 use std::sync::Arc;
 

@@ -37,9 +37,7 @@ fn planted_unwrap_in_min_dist_sq_is_caught_across_files() {
         .filter(|d| d.file.ends_with("callee.rs") && d.rule == "hot-path-no-panic")
         .collect();
     assert!(
-        in_callee
-            .iter()
-            .any(|d| d.line == 8 && d.message.contains("expect") || d.line == 8),
+        in_callee.iter().any(|d| d.line == 8),
         "planted unwrap in min_dist_sq not caught: {in_callee:?}"
     );
     assert!(
@@ -54,7 +52,10 @@ fn planted_unwrap_in_min_dist_sq_is_caught_across_files() {
     );
     // The entry file itself is clean.
     assert!(
-        report.diagnostics.iter().all(|d| !d.file.ends_with("entry.rs")),
+        report
+            .diagnostics
+            .iter()
+            .all(|d| !d.file.ends_with("entry.rs")),
         "{:?}",
         report.diagnostics
     );
@@ -82,13 +83,10 @@ fn io_closure_follows_wal_methods_across_files() {
     let cfg = cfg("[rule.io-no-unwrap]\nentry-points = [\"Wal::*\"]\n");
     let report = lint_sources(&files(FIRES), &cfg);
     assert!(
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.rule == "io-no-unwrap"
-                && d.file.ends_with("callee.rs")
-                && d.line == 19
-                && d.message.contains("metadata")),
+        report.diagnostics.iter().any(|d| d.rule == "io-no-unwrap"
+            && d.file.ends_with("callee.rs")
+            && d.line == 19
+            && d.message.contains("metadata")),
         "{:?}",
         report.diagnostics
     );

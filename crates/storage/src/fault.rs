@@ -12,8 +12,7 @@
 //!   `(seed, op count)`;
 //! * [`FaultFs`] wraps any [`Fs`] and fires the plan on the matching
 //!   operation (the WAL and snapshot-rotation paths run entirely through
-//!   `Fs`, so every durable byte is interceptable);
-//! * [`FaultPager`] wraps any [`Pager`] the same way for paged structures.
+//!   `Fs`, so every durable byte is interceptable).
 //!
 //! Faults come in two severities. *Transient* faults ([`FaultKind::FailOnce`],
 //! [`FaultKind::ShortRead`]) return an [`io::ErrorKind::Interrupted`]-class
@@ -25,7 +24,6 @@
 //! corrupts what a read returns.
 
 use crate::fsio::Fs;
-use crate::pager::{IoStats, PageId, Pager};
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -366,120 +364,10 @@ impl<F: Fs> Fs for FaultFs<F> {
     }
 }
 
-/// A [`Pager`] wrapper that fires a [`FaultPlan`] on page reads and writes.
-///
-/// The [`Pager`] trait is infallible by contract (engines treat page I/O
-/// failure as a programming error), so injected faults surface as panics
-/// for fail-stop faults and as silent corruption for [`FaultKind::BitFlip`]
-/// — which is exactly what the snapshot-decode tests want to prove the
-/// checksummed envelope catches. Transient faults are absorbed internally
-/// (one retry), mirroring the retry policy a real device driver applies
-/// below an infallible block interface.
-#[derive(Debug)]
-pub struct FaultPager<P: Pager> {
-    inner: P,
-    state: Mutex<FaultState>,
-}
-
-impl<P: Pager> FaultPager<P> {
-    /// Wraps `inner`, arming `plan`.
-    pub fn new(inner: P, plan: FaultPlan) -> Self {
-        Self {
-            inner,
-            state: Mutex::new(FaultState {
-                plan,
-                ops: 0,
-                fired: Vec::new(),
-            }),
-        }
-    }
-
-    /// The wrapped pager.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Operations observed so far.
-    pub fn ops(&self) -> u64 {
-        self.state.lock().ops
-    }
-
-    /// The faults that actually fired, as `(operation index, kind)`.
-    pub fn fired(&self) -> Vec<(u64, FaultKind)> {
-        self.state.lock().fired.clone()
-    }
-
-    fn arm(&self) -> Option<FaultKind> {
-        self.state.lock().next_op()
-    }
-}
-
-impl<P: Pager> Pager for FaultPager<P> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn alloc(&self) -> PageId {
-        match self.arm() {
-            Some(FaultKind::NoSpace) => panic!("injected: pager allocation hit a full device"),
-            _ => self.inner.alloc(),
-        }
-    }
-
-    fn read(&self, id: PageId) -> Vec<u8> {
-        match self.arm() {
-            Some(FaultKind::BitFlip { byte, bit }) => flip(self.inner.read(id), byte, bit),
-            // Transient: the device retried below the infallible interface.
-            _ => self.inner.read(id),
-        }
-    }
-
-    fn read_into(&self, id: PageId, out: &mut Vec<u8>) {
-        match self.arm() {
-            Some(FaultKind::BitFlip { byte, bit }) => {
-                self.inner.read_into(id, out);
-                if !out.is_empty() {
-                    let i = byte % out.len();
-                    out[i] ^= 1 << (bit & 7);
-                }
-            }
-            _ => self.inner.read_into(id, out),
-        }
-    }
-
-    fn write(&self, id: PageId, data: &[u8]) {
-        match self.arm() {
-            Some(FaultKind::TornWrite { keep }) => {
-                // A torn page write: the prefix lands, the rest keeps the
-                // page's previous contents.
-                let keep = keep.min(data.len());
-                let mut page = self.inner.read(id);
-                page[..keep].copy_from_slice(&data[..keep]);
-                self.inner.write(id, &page);
-            }
-            Some(FaultKind::NoSpace) => panic!("injected: page write hit a full device"),
-            Some(FaultKind::BitFlip { byte, bit }) => {
-                self.inner.write(id, &flip(data.to_vec(), byte, bit));
-            }
-            _ => self.inner.write(id, data),
-        }
-    }
-
-    fn free(&self, id: PageId) {
-        self.arm();
-        self.inner.free(id);
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fsio::{RetryPolicy, StdFs};
-    use crate::pager::MemPager;
 
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pv_fault_{tag}_{}", std::process::id()));
@@ -561,30 +449,5 @@ mod tests {
         assert_eq!(fs.read(&p).unwrap()[3], 0b100);
         // Spent: clean on the next read.
         assert_eq!(fs.read(&p).unwrap(), [0u8; 8]);
-    }
-
-    #[test]
-    fn fault_pager_flips_and_tears_pages() {
-        let pager = FaultPager::new(
-            MemPager::new(64),
-            FaultPlan::new(vec![
-                ScheduledFault {
-                    op: 2, // first read (after alloc + write)
-                    kind: FaultKind::BitFlip { byte: 0, bit: 0 },
-                },
-                ScheduledFault {
-                    op: 3, // second write
-                    kind: FaultKind::TornWrite { keep: 2 },
-                },
-            ]),
-        );
-        let id = pager.alloc();
-        pager.write(id, &[7u8; 64]);
-        let flipped = pager.read(id);
-        assert_eq!(flipped[0], 6, "bit 0 of byte 0 flipped");
-        pager.write(id, &[9u8; 64]);
-        let after = pager.read(id);
-        assert_eq!(&after[..2], &[9, 9], "torn prefix landed");
-        assert_eq!(&after[2..], &[7u8; 62][..], "rest kept old contents");
     }
 }

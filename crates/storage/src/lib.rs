@@ -7,16 +7,11 @@
 //! relying on a real device:
 //!
 //! * [`MemPager`] is an in-memory array of fixed-size pages with read / write
-//!   / allocation counters ([`IoStats`]) and an optional per-access latency
-//!   model ([`LatencyModel`]) for wall-clock realism experiments;
-//! * [`FilePager`] implements the same [`Pager`] trait against a real file —
-//!   checksummed superblock, on-disk free list, allocation map — so paged
-//!   structures survive a process restart;
+//!   / allocation counters ([`IoStats`]) and copy-on-write forks, behind the
+//!   [`Pager`] trait so tests can interpose spy or failure-injecting pagers;
 //! * [`PageList`] implements the paper's leaf-node layout: a linked list of
 //!   pages holding variable-size records, with new pages attached at the
 //!   *head* of the list (§VI-A, construction step 3);
-//! * [`BufferPool`] is an optional LRU read cache used in ablation studies,
-//!   stackable on either pager;
 //! * [`codec`] provides the little-endian record encoding shared by the
 //!   octree leaves and the extendible hash table, and surfaces corruption
 //!   as [`codec::DecodeError`] values instead of panics;
@@ -29,44 +24,39 @@
 //!   behind `pv-core`'s `DurableDb`, with torn-tail repair and typed
 //!   corruption reporting on replay;
 //! * [`fault`] injects deterministic failures — torn writes, short reads,
-//!   full disks, bit flips — behind the same [`fsio::Fs`]/[`Pager`] traits
-//!   ([`fault::FaultFs`], [`fault::FaultPager`]), driven by seeded,
-//!   replayable [`fault::FaultPlan`]s.
+//!   full disks, bit flips — behind the [`fsio::Fs`] trait
+//!   ([`fault::FaultFs`]), driven by seeded, replayable
+//!   [`fault::FaultPlan`]s.
 //!
 //! Every index structure in the workspace performs its "disk" accesses
 //! through this crate, so a unit of I/O means the same thing for the R-tree
 //! baseline, the PV-index and the UV-index.
 //!
 //! ```
-//! use pv_storage::{BufferPool, MemPager, PageList, Pager};
+//! use pv_storage::{MemPager, PageList, Pager};
 //!
-//! // A 4 KiB-page simulated disk behind a tiny LRU cache.
-//! let pool = BufferPool::new(MemPager::default_pager(), 4);
+//! // A 4 KiB-page simulated disk holding one leaf-node page chain.
+//! let disk = MemPager::default_pager();
 //! let mut leaf = PageList::new();
-//! leaf.append(&pool, b"record one");
-//! leaf.append(&pool, b"record two");
-//! assert_eq!(leaf.read_all(&pool).len(), 2);
-//! pool.flush(); // write-back cache: dirty pages reach the disk on flush
-//! assert!(pool.inner().stats().snapshot().writes > 0);
+//! leaf.append(&disk, b"record one");
+//! leaf.append(&disk, b"record two");
+//! assert_eq!(leaf.read_all(&disk).len(), 2);
+//! assert!(disk.stats().snapshot().writes > 0); // every access is counted
 //! ```
 
 #![deny(missing_docs)]
 
-pub mod buffer;
 pub mod codec;
 pub mod fault;
-pub mod filepager;
 pub mod fsio;
 pub mod pagelist;
 pub mod pager;
 pub mod snapshot;
 pub mod wal;
 
-pub use buffer::BufferPool;
-pub use fault::{FaultFs, FaultKind, FaultPager, FaultPlan, ScheduledFault};
-pub use filepager::FilePager;
+pub use fault::{FaultFs, FaultKind, FaultPlan, ScheduledFault};
 pub use fsio::{Fs, RetryPolicy, StdFs};
 pub use pagelist::{PageList, PageListStats};
-pub use pager::{IoStats, LatencyModel, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
+pub use pager::{IoStats, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use snapshot::fnv1a64;
 pub use wal::{TornTail, Wal, WalError, WalRecord, WalReplay};

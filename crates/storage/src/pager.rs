@@ -88,33 +88,6 @@ impl IoStats {
     }
 }
 
-/// Optional synthetic latency charged per page access, to let wall-clock
-/// benchmarks reflect a disk-bound regime like the paper's 2013 testbed.
-///
-/// With [`LatencyModel::None`] (the default) accesses cost only the in-memory
-/// copy; experiments then report I/O *counts*, which is what Figs. 9(c)/9(g)
-/// plot anyway.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LatencyModel {
-    /// No artificial latency.
-    #[default]
-    None,
-    /// Spin for roughly this many nanoseconds per page access.
-    PerAccessNanos(u64),
-}
-
-impl LatencyModel {
-    #[inline]
-    fn charge(&self) {
-        if let LatencyModel::PerAccessNanos(ns) = *self {
-            let start = std::time::Instant::now();
-            while (std::time::Instant::now() - start).as_nanos() < ns as u128 {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
 /// Abstract page store. [`MemPager`] is the only production implementation;
 /// the trait exists so tests can interpose failure-injection wrappers.
 pub trait Pager {
@@ -167,7 +140,6 @@ impl std::fmt::Debug for MemPager {
 
 struct PagerInner {
     page_size: usize,
-    latency: LatencyModel,
     stats: IoStats,
     /// Pages physically duplicated because a write hit a page whose bytes
     /// are still shared with a forked pager. See [`MemPager::cow_copies`].
@@ -182,28 +154,22 @@ struct PagerState {
 }
 
 impl MemPager {
-    /// Creates a pager with the given page size and no latency model.
+    /// Creates a pager with the given page size.
     pub fn new(page_size: usize) -> Self {
-        Self::with_latency(page_size, LatencyModel::None)
-    }
-
-    /// Creates a pager with the default 4 KiB pages.
-    pub fn default_pager() -> Self {
-        Self::new(DEFAULT_PAGE_SIZE)
-    }
-
-    /// Creates a pager with an explicit latency model.
-    pub fn with_latency(page_size: usize, latency: LatencyModel) -> Self {
         assert!(page_size >= 64, "page size unreasonably small");
         Self {
             inner: Arc::new(PagerInner {
                 page_size,
-                latency,
                 stats: IoStats::default(),
                 cow_copies: AtomicU64::new(0),
                 state: Mutex::new(PagerState::default()),
             }),
         }
+    }
+
+    /// Creates a pager with the default 4 KiB pages.
+    pub fn default_pager() -> Self {
+        Self::new(DEFAULT_PAGE_SIZE)
     }
 
     /// Number of live (allocated, not freed) pages.
@@ -224,7 +190,6 @@ impl MemPager {
         Self {
             inner: Arc::new(PagerInner {
                 page_size: self.inner.page_size,
-                latency: self.inner.latency,
                 stats: IoStats::default(),
                 cow_copies: AtomicU64::new(0),
                 state: Mutex::new(PagerState {
@@ -321,7 +286,6 @@ impl Pager for MemPager {
     }
 
     fn read(&self, id: PageId) -> Vec<u8> {
-        self.inner.latency.charge();
         self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         let st = self.inner.state.lock();
         st.pages
@@ -332,7 +296,6 @@ impl Pager for MemPager {
     }
 
     fn read_into(&self, id: PageId, buf: &mut Vec<u8>) {
-        self.inner.latency.charge();
         self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         let st = self.inner.state.lock();
         let page = st
@@ -346,7 +309,6 @@ impl Pager for MemPager {
 
     fn write(&self, id: PageId, data: &[u8]) {
         assert_eq!(data.len(), self.inner.page_size, "partial page write");
-        self.inner.latency.charge();
         self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
         let mut st = self.inner.state.lock();
         let slot = st

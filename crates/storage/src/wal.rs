@@ -44,8 +44,8 @@
 //! last version that survives.
 
 use crate::codec::{self, DecodeError};
-use crate::fsio::{Fs, RetryPolicy};
 use crate::fnv1a64;
+use crate::fsio::{Fs, RetryPolicy};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -313,7 +313,6 @@ impl UncertainObject {
     /// On a corrupted buffer; use [`UncertainObject::try_decode`] to handle
     /// corruption as an error instead.
     pub fn decode(buf: &[u8]) -> Self {
-        // pv-lint: allow(hot-path-no-panic, reason = "the documented panicking convenience wrapper; callers needing totality use try_decode")
         Self::try_decode(buf).expect("corrupted uncertain-object record")
     }
 
@@ -324,7 +323,7 @@ impl UncertainObject {
         let id = r.try_u64()?;
         let dim = r.try_u16()? as usize;
         let read_coords = |r: &mut codec::Reader| -> Result<Vec<f64>, codec::DecodeError> {
-            (0..dim).map(|_| r.try_f64()).collect() // pv-lint: allow(hot-path-no-alloc, reason = "decoder constructing an owned UncertainObject; the hot path streams EncodedObject views instead")
+            (0..dim).map(|_| r.try_f64()).collect()
         };
         let lo = read_coords(&mut r)?;
         let hi = read_coords(&mut r)?;
@@ -343,8 +342,8 @@ impl UncertainObject {
                 let n = r.try_u32()? as usize;
                 let pts = (0..n)
                     .map(|_| Ok(Point::new(read_coords(&mut r)?)))
-                    .collect::<Result<Vec<_>, codec::DecodeError>>()?; // pv-lint: allow(hot-path-no-alloc, reason = "decoder constructing an owned UncertainObject; the hot path streams EncodedObject views instead")
-                Pdf::Explicit(Arc::new(pts)) // pv-lint: allow(hot-path-no-alloc, reason = "decoder constructing an owned UncertainObject; the hot path streams EncodedObject views instead")
+                    .collect::<Result<Vec<_>, codec::DecodeError>>()?;
+                Pdf::Explicit(Arc::new(pts))
             }
             t => {
                 return Err(codec::DecodeError::UnknownTag {

@@ -28,7 +28,7 @@
 #![deny(missing_docs)]
 
 use pv_core::params::PvParams;
-use pv_core::prob::{payload_pages, pdf_payload_pages};
+use pv_core::prob::payload_pages;
 use pv_core::query::{FetchScratch, ProbNnEngine, Step1Engine};
 use pv_core::stats::{BuildStats, SeStats, Step1Stats};
 use pv_exthash::ExtHash;
@@ -468,14 +468,8 @@ impl Step1Engine for UvIndex {
     }
 
     /// PNNQ Step 1 via the UV-index: leaf lookup + min/max pruning
-    /// (identical query path to the PV-index, different cells).
-    fn step1(&self, q: &Point) -> (Vec<u64>, Step1Stats) {
-        let mut ids = Vec::new();
-        let stats = self.step1_into(q, &mut ids, &mut FetchScratch::default());
-        (ids, stats)
-    }
-
-    /// Allocation-free Step 1 (same streaming leaf path as the PV-index).
+    /// (identical allocation-free streaming leaf path to the PV-index,
+    /// different cells).
     fn step1_into(&self, q: &Point, ids: &mut Vec<u64>, scratch: &mut FetchScratch) -> Step1Stats {
         use std::sync::atomic::Ordering;
         let t0 = Instant::now();
@@ -510,25 +504,11 @@ impl ProbNnEngine for UvIndex {
         &self.objects[&id].region
     }
 
-    /// Fetches the payload from the UV-index's own extendible-hash secondary
-    /// index (charging real page reads) plus the pdf-payload pages — the
-    /// same Step-2 cost model as the PV-index, so full-query comparisons are
-    /// apples-to-apples.
-    fn fetch_candidate(&self, id: u64) -> (UncertainObject, u64) {
-        let io0 = self.pager.stats().snapshot();
-        let buf = self
-            .secondary
-            .get(id)
-            .expect("step-1 answer must exist in the secondary index");
-        let obj = UncertainObject::try_decode(&buf).expect("secondary record corrupted");
-        let io = self.pager.stats().snapshot().since(&io0).reads;
-        let total = io + pdf_payload_pages(&obj, self.page_size);
-        (obj, total)
-    }
-
-    /// Decode-into-buffer payload path: same storage traffic and same
-    /// narrow per-fetch I/O bracket as [`UvIndex::fetch_candidate`], zero
-    /// materialisation.
+    /// Streams the payload from the UV-index's own extendible-hash secondary
+    /// index (charging real page reads, metered with a narrow per-fetch
+    /// bracket) plus the pdf-payload pages — the same Step-2 cost model as
+    /// the PV-index, so full-query comparisons are apples-to-apples. Decodes
+    /// into the scratch buffers; nothing is materialised.
     fn fetch_dists_sq(
         &self,
         id: u64,

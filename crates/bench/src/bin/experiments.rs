@@ -7,28 +7,19 @@
 //! commands:
 //!   table1   fig9a fig9b fig9c fig9d fig9efg fig9h
 //!   fig10a fig10b fig10c fig10d fig10e fig10f fig10g fig10hi
-//!   params updquality engines snapshot
-//!   report   (bench-trajectory snapshot -> BENCH_pr<N>.json)
-//!   lint     (pv-lint static-invariant pass; non-zero exit on violations)
+//!   params updquality space engines snapshot
 //!   fig9     (all of figure 9)    fig10   (all of figure 10)
 //!   all      (everything)
 //! ```
 //!
 //! Results print as aligned tables and are mirrored to `results/*.csv`.
 
-use pv_bench::{figures, trajectory, Ctx, Preset};
-
-/// Count real allocator traffic so `report` can measure the zero-allocation
-/// steady-state contract of the batch query path.
-#[global_allocator]
-static ALLOC: pv_bench::alloc_counter::CountingAllocator =
-    pv_bench::alloc_counter::CountingAllocator;
+use pv_bench::{figures, Ctx, Preset};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut preset = Preset::Small;
     let mut threads: Option<usize> = None;
-    let mut lint = LintOpts::default();
     let mut commands: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -41,18 +32,12 @@ fn main() {
                 });
             }
             "--threads" => {
-                threads = it.next().and_then(|v| v.parse().ok());
-            }
-            // Passed through to the `lint` command (same meaning as the
-            // standalone pv-lint binary's flags).
-            "--format" => match it.next() {
-                Some(f) if f == "text" || f == "json" || f == "sarif" => lint.format = f,
-                _ => {
-                    eprintln!("--format takes `text`, `json`, or `sarif`");
+                let v = it.next().unwrap_or_default();
+                threads = Some(v.parse().unwrap_or_else(|_| {
+                    eprintln!("--threads takes a number of threads, got '{v}'");
                     std::process::exit(2);
-                }
-            },
-            "--graph" => lint.graph = true,
+                }));
+            }
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -77,20 +62,11 @@ fn main() {
     );
 
     for cmd in commands {
-        run(&ctx, &cmd, &lint);
+        run(&ctx, &cmd);
     }
 }
 
-/// `experiments lint` options forwarded to pv-lint.
-#[derive(Debug, Default)]
-struct LintOpts {
-    /// Output format: "" (text), "json", or "sarif".
-    format: String,
-    /// Dump the workspace call graph as DOT instead of linting.
-    graph: bool,
-}
-
-fn run(ctx: &Ctx, cmd: &str, lint: &LintOpts) {
+fn run(ctx: &Ctx, cmd: &str) {
     let t0 = std::time::Instant::now();
     match cmd {
         "table1" => figures::table1(ctx),
@@ -113,8 +89,6 @@ fn run(ctx: &Ctx, cmd: &str, lint: &LintOpts) {
         "engines" => figures::engines(ctx),
         "snapshot" => figures::snapshot(ctx),
         "updquality" => figures::update_quality(ctx),
-        "report" => trajectory::report(ctx, &format!("BENCH_pr{}.json", trajectory::TRAJECTORY_PR)),
-        "lint" => run_lint(lint),
         "fig9" => {
             figures::fig9a(ctx);
             figures::fig9b(ctx);
@@ -134,14 +108,14 @@ fn run(ctx: &Ctx, cmd: &str, lint: &LintOpts) {
             figures::fig10hi(ctx);
         }
         "all" => {
-            run(ctx, "table1", lint);
-            run(ctx, "fig9", lint);
-            run(ctx, "fig10", lint);
-            run(ctx, "params", lint);
-            run(ctx, "updquality", lint);
-            run(ctx, "space", lint);
-            run(ctx, "engines", lint);
-            run(ctx, "snapshot", lint);
+            run(ctx, "table1");
+            run(ctx, "fig9");
+            run(ctx, "fig10");
+            run(ctx, "params");
+            run(ctx, "updquality");
+            run(ctx, "space");
+            run(ctx, "engines");
+            run(ctx, "snapshot");
         }
         other => {
             eprintln!("unknown command '{other}'");
@@ -152,49 +126,6 @@ fn run(ctx: &Ctx, cmd: &str, lint: &LintOpts) {
     eprintln!("[{cmd} done in {:?}]", t0.elapsed());
 }
 
-/// `experiments lint`: run the pv-lint static-invariant pass over the
-/// workspace (same engine as `cargo run -p pv-lint`), so a perf session can
-/// check the hot-path/unsafe/COW discipline without leaving the harness.
-/// `--format text|json|sarif` and `--graph` forward to the same renderers
-/// as the standalone binary.
-fn run_lint(opts: &LintOpts) {
-    // Walk up from the CWD to the nearest lint.toml, like the standalone
-    // binary does, so this works from any subdirectory of the checkout.
-    let mut root = std::env::current_dir().unwrap_or_else(|_| ".".into());
-    while !root.join("lint.toml").is_file() {
-        if !root.pop() {
-            eprintln!("experiments lint: no lint.toml above the current directory");
-            std::process::exit(2);
-        }
-    }
-    if opts.graph {
-        match pv_lint::graph_dot_root(&root) {
-            Ok(dot) => print!("{dot}"),
-            Err(e) => {
-                eprintln!("experiments lint: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    match pv_lint::lint_root(&root) {
-        Ok(report) => {
-            match opts.format.as_str() {
-                "json" => print!("{}", report.to_json()),
-                "sarif" => print!("{}", report.to_sarif()),
-                _ => print!("{}", report.to_text()),
-            }
-            if !report.clean() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("experiments lint: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn print_help() {
     println!(
         "experiments — regenerate the tables/figures of the ICDE'13 PV-index paper\n\
@@ -202,8 +133,6 @@ fn print_help() {
          usage: experiments [--preset tiny|small|large|paper] [--threads N] <command>...\n\
          \n\
          commands: table1, fig9a..fig9h, fig9efg, fig10a..fig10i, fig10hi,\n\
-         params, updquality, space, engines, snapshot, report, lint, fig9, fig10, all\n\
-         \n\
-         lint flags: --format text|json|sarif    --graph (DOT call-graph dump)"
+         params, updquality, space, engines, snapshot, fig9, fig10, all"
     );
 }

@@ -2,16 +2,17 @@
 //!
 //! Shared machinery for the `experiments` binary and the criterion benches:
 //! scale presets, workload builders, measurement loops and table/CSV output.
-//! Every public function here regenerates one figure (or the analysis behind
-//! one figure) of the paper's evaluation; the mapping is documented in
-//! DESIGN.md §4 and the measured outcomes in EXPERIMENTS.md.
+//! Every public function in [`figures`] regenerates one figure (or the
+//! analysis behind one figure) of the paper's evaluation; the
+//! command → figure mapping is in the README ("Reproducing the paper's
+//! evaluation"). The criterion benches time individual kernels. Performance
+//! claims about the engine are measured by the repository benchmark
+//! (`BENCHMARK.json`, run by the separate `perfbench` package), not here.
 
 #![deny(missing_docs)]
 
-pub mod alloc_counter;
 pub mod figures;
 pub mod report;
-pub mod trajectory;
 
 use pv_core::params::PvParams;
 use pv_uncertain::UncertainDb;
@@ -24,7 +25,7 @@ use pv_workload::{realistic, synthetic, SyntheticConfig};
 pub enum Preset {
     /// Minutes-scale smoke runs (|S| ≤ 2.5k).
     Tiny,
-    /// Default for EXPERIMENTS.md (|S| ≤ 10k).
+    /// The `experiments` binary's default (|S| ≤ 10k).
     Small,
     /// Construction-scaling runs (|S| ≤ 25k): large enough that the PR-8
     /// build pipeline (work stealing + bulk load) dominates the wall clock,

@@ -669,6 +669,8 @@ impl<E: crate::query::ProbNnEngine> fmt::Debug for DurableDb<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::RTreeBaseline;
+    use crate::query::QuerySpec;
     use crate::verify::LinearScan;
     use pv_geom::{HyperRect, Point};
     use pv_storage::fault::{FaultFs, FaultKind, FaultPlan};
@@ -678,10 +680,14 @@ mod tests {
         UncertainObject::uniform(id, HyperRect::new(vec![x, 0.0], vec![x + 2.0, 2.0]), 8)
     }
 
-    fn scan() -> LinearScan {
+    fn base_db() -> UncertainDb {
         let domain = HyperRect::cube(2, 0.0, 100.0);
         let objects = (0..6u64).map(|i| obj(i, i as f64 * 10.0)).collect();
-        LinearScan::new(&UncertainDb::new(domain, objects))
+        UncertainDb::new(domain, objects)
+    }
+
+    fn scan() -> LinearScan {
+        LinearScan::new(&base_db())
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -711,10 +717,11 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn create_commit_reopen_recovers_everything() {
-        let dir = tmp_dir("roundtrip");
-        let db = DurableDb::create(&dir, scan(), DurableOptions::default()).unwrap();
+    /// Create → two commits → drop → open on `engine`: the log replays both
+    /// commits and the recovered engine answers exactly like the original.
+    fn create_commit_reopen<E: WritableEngine + PersistentEngine>(tag: &str, engine: E) {
+        let dir = tmp_dir(tag);
+        let db = DurableDb::create(&dir, engine, DurableOptions::default()).unwrap();
         let c1 = db.insert(obj(100, 50.0)).unwrap();
         assert_eq!(c1.version, 1);
         assert!(c1.synced);
@@ -723,9 +730,20 @@ mod tests {
             .unwrap();
         assert_eq!(c2.version, 2);
         assert_eq!(c2.stats.len(), 2);
+        let queries: Vec<Point> = (0..8)
+            .map(|i| Point::new(vec![i as f64 * 12.0 + 1.0, 1.0]))
+            .collect();
+        let answers = |db: &DurableDb<E>| -> Vec<Vec<(u64, f64)>> {
+            queries
+                .iter()
+                .map(|q| db.db().query(q, &QuerySpec::new()).unwrap().answers)
+                .collect()
+        };
+        let before = answers(&db);
+        assert!(before.iter().all(|a| !a.is_empty()));
         drop(db);
 
-        let (db, report) = DurableDb::<LinearScan>::open(&dir, DurableOptions::default()).unwrap();
+        let (db, report) = DurableDb::<E>::open(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.snapshot_version, 0);
         assert_eq!(report.replayed_commits, 2);
         assert_eq!(report.recovered_version, 2);
@@ -733,9 +751,20 @@ mod tests {
         assert!(report.torn_tail.is_none());
         assert_eq!(db.db().version(), 2);
         assert_eq!(db.db().len(), 7);
+        assert_eq!(answers(&db), before);
         // And the recovered state keeps accepting versioned commits.
         assert_eq!(db.insert(obj(102, 70.0)).unwrap().version, 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_commit_reopen_recovers_everything() {
+        create_commit_reopen("roundtrip_scan", scan());
+        let params = crate::params::PvParams::default();
+        create_commit_reopen(
+            "roundtrip_rtree",
+            RTreeBaseline::build(&base_db(), params.rtree_fanout, params.page_size),
+        );
     }
 
     #[test]

@@ -483,16 +483,6 @@ impl PvIndex {
         &self.build_stats
     }
 
-    /// Reconfigures the update path: the `chooseCSet` strategy commit-time
-    /// SE runs use and how many deferred UBR refreshes each commit pays.
-    /// `budget = usize::MAX` with the build-grade strategy recovers the
-    /// legacy eager behaviour (every affected neighbour re-tightened inside
-    /// the commit); the defaults keep commits in the low-millisecond range.
-    pub fn set_update_policy(&mut self, cset: CSetStrategy, budget: usize) {
-        self.params.update_cset = cset;
-        self.params.update_budget = budget;
-    }
-
     /// Number of objects whose UBRs are queued for deferred re-tightening.
     /// Purely a freshness metric: queries are exact regardless of backlog.
     pub fn maintenance_backlog(&self) -> usize {

@@ -266,7 +266,7 @@ pub fn payload_pages(n_samples: usize, dim: usize, page_size: usize) -> u64 {
 
 /// Estimated number of disk pages a candidate's full instance payload
 /// occupies (used to charge Step-2 I/O for lazily materialised pdfs, which
-/// the paper would have read from disk — see DESIGN.md §3).
+/// the paper would have read from disk — see ARCHITECTURE.md §1).
 pub fn pdf_payload_pages(o: &UncertainObject, page_size: usize) -> u64 {
     payload_pages(o.pdf.n_samples(), o.region.dim(), page_size)
 }

@@ -117,13 +117,6 @@ pub const RULES: &[Rule] = &[
         body_check: None,
     },
     Rule {
-        name: "pub-missing-docs",
-        description: "every public item carries a doc comment (static backstop for \
-                      #![deny(missing_docs)])",
-        check: pub_missing_docs,
-        body_check: None,
-    },
-    Rule {
         name: "io-no-unwrap",
         description: "no .unwrap()/.expect() on io::Result values in storage non-test code — \
                       propagate the error, retry via RetryPolicy, or panic with context via \
@@ -915,140 +908,6 @@ fn io_unwrap_scan(a: &FileAnalysis<'_>, range: std::ops::Range<usize>, out: &mut
     }
 }
 
-/// `pub-missing-docs`: every `pub` item (not `pub(crate)`, not `pub use`)
-/// must be preceded by a doc comment or a `#[doc…]` attribute.
-fn pub_missing_docs(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
-    const ITEM_KEYWORDS: &[&str] = &[
-        "fn", "struct", "enum", "trait", "mod", "static", "type", "union",
-    ];
-    const MODIFIERS: &[&str] = &["unsafe", "async", "extern"];
-    'outer: for i in 0..a.sig.len() {
-        if !a.is_ident(i, "pub") || a.in_test(a.sig[i].line) {
-            continue;
-        }
-        if i + 1 < a.sig.len() && a.is_punct(i + 1, "(") {
-            continue; // pub(crate)/pub(super): not public API
-        }
-        // Identify the item keyword, skipping modifiers. `const` is both a
-        // modifier (`pub const fn`) and an item (`pub const X`).
-        let mut j = i + 1;
-        let mut item: Option<&str> = None;
-        while j < a.sig.len() {
-            let t = &a.sig[j];
-            if t.kind == TokenKind::Str {
-                j += 1; // `extern "C"`
-                continue;
-            }
-            if t.kind != TokenKind::Ident {
-                break;
-            }
-            let w = a.sig_text(j);
-            if w == "use" {
-                continue 'outer; // re-exports carry the source item's docs
-            }
-            if w == "const" {
-                if j + 1 < a.sig.len() && a.is_ident(j + 1, "fn") {
-                    j += 1;
-                    continue;
-                }
-                item = Some("const");
-                break;
-            }
-            if MODIFIERS.contains(&w) {
-                j += 1;
-                continue;
-            }
-            if ITEM_KEYWORDS.contains(&w) {
-                item = Some(w);
-            }
-            break;
-        }
-        let Some(item) = item else {
-            continue; // a struct field or something item-unlike: rustc covers it
-        };
-        // `pub mod name;` is routinely documented by `//!` inner docs in the
-        // module's own file (which rustc's missing_docs accepts) — only
-        // inline `pub mod name { … }` needs outer docs here.
-        if item == "mod" && j + 2 < a.sig.len() && a.is_punct(j + 2, ";") {
-            continue;
-        }
-        // Walk the full token stream backwards from `pub`, skipping
-        // whitespace and attributes, looking for a doc comment.
-        let pub_tok = &a.sig[i];
-        let mut k = a
-            .tokens
-            .iter()
-            .position(|t| t.start == pub_tok.start)
-            .unwrap_or(0);
-        let documented = loop {
-            if k == 0 {
-                break false;
-            }
-            k -= 1;
-            let t = &a.tokens[k];
-            match t.kind {
-                TokenKind::Whitespace => continue,
-                // Doc comments document; plain comments (e.g. a pv-lint
-                // waiver between the docs and the item) are skipped, as
-                // rustc attaches docs across them.
-                TokenKind::LineComment => {
-                    if t.text(a.src).starts_with("///") {
-                        break true;
-                    }
-                }
-                TokenKind::BlockComment => {
-                    if t.text(a.src).starts_with("/**") {
-                        break true;
-                    }
-                }
-                TokenKind::Punct if t.text(a.src) == "]" => {
-                    // Skip the attribute `#[…]`; accept `#[doc…]`.
-                    let mut depth = 0i32;
-                    let mut doc_attr = false;
-                    loop {
-                        let t = &a.tokens[k];
-                        match t.kind {
-                            TokenKind::Punct if t.text(a.src) == "]" => depth += 1,
-                            TokenKind::Punct if t.text(a.src) == "[" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            TokenKind::Ident if t.text(a.src) == "doc" => doc_attr = true,
-                            _ => {}
-                        }
-                        if k == 0 {
-                            break;
-                        }
-                        k -= 1;
-                    }
-                    // Step over the `#`.
-                    if k > 0 && a.tokens[k - 1].text(a.src) == "#" {
-                        k -= 1;
-                    }
-                    if doc_attr {
-                        break true;
-                    }
-                }
-                _ => break false,
-            }
-        };
-        if !documented {
-            diag(
-                out,
-                "pub-missing-docs",
-                a,
-                pub_tok.line,
-                format!(
-                    "public `{item}` without a doc comment — pv-core's API surface is documented \
-                 (static backstop for #![deny(missing_docs)])"
-                ),
-            );
-        }
-    }
-}
-
 /// `wal-append-paired`: the acknowledged⟺logged protocol, checked
 /// structurally. In every non-test function that calls `append_commit`:
 ///
@@ -1334,28 +1193,6 @@ fn free_fn() { let v = data.to_vec(); }
         let src = "fn f(n: usize) { let a = n as u32; let b = n as u64; let c = 3u32 as usize; }";
         let (active, _) = run("codec-no-lossy-cast", src);
         assert_eq!(active.len(), 1, "{active:?}");
-    }
-
-    #[test]
-    fn pub_missing_docs_basics() {
-        let bad = "pub fn undocumented() {}\n";
-        assert_eq!(run("pub-missing-docs", bad).0.len(), 1);
-        let good = "/// Documented.\npub fn documented() {}\n";
-        assert!(run("pub-missing-docs", good).0.is_empty());
-        let attr_between = "/// Documented.\n#[inline]\npub fn documented() {}\n";
-        assert!(run("pub-missing-docs", attr_between).0.is_empty());
-        let scoped = "pub(crate) fn internal() {}\npub use foo::bar;\n";
-        assert!(run("pub-missing-docs", scoped).0.is_empty());
-        let field = "/// S.\npub struct S { pub x: u32 }\n";
-        assert!(run("pub-missing-docs", field).0.is_empty());
-        let const_fn = "pub const fn k() {}\n";
-        assert_eq!(run("pub-missing-docs", const_fn).0.len(), 1);
-        // Out-of-line modules carry `//!` docs in their own file; only the
-        // inline form needs outer docs.
-        let mods = "pub mod outofline;\npub mod inline { }\n";
-        let (active, _) = run("pub-missing-docs", mods);
-        assert_eq!(active.len(), 1, "{active:?}");
-        assert_eq!(active[0].line, 2);
     }
 
     #[test]

@@ -117,22 +117,6 @@ fn codec_no_lossy_cast_waiver_suppresses() {
 }
 
 #[test]
-fn pub_missing_docs_fires() {
-    let src = include_str!("fixtures/pub_missing_docs_fires.rs");
-    let (active, waived) = run("pub_missing_docs_fires.rs", src, "pub-missing-docs");
-    assert_eq!(lines(&active), vec![5, 7, 9, 11], "{active:?}");
-    assert!(waived.is_empty());
-}
-
-#[test]
-fn pub_missing_docs_waiver_suppresses() {
-    let src = include_str!("fixtures/pub_missing_docs_waived.rs");
-    let (active, waived) = run("pub_missing_docs_waived.rs", src, "pub-missing-docs");
-    assert!(active.is_empty(), "{active:?}");
-    assert_eq!(waived.len(), 1, "{waived:?}");
-}
-
-#[test]
 fn io_no_unwrap_fires() {
     let src = include_str!("fixtures/io_no_unwrap_fires.rs");
     let (active, waived) = run("io_no_unwrap_fires.rs", src, "io-no-unwrap");
@@ -209,9 +193,6 @@ include = [\"**\"]
 [rule.codec-no-lossy-cast]
 include = [\"**\"]
 
-[rule.pub-missing-docs]
-include = [\"**\"]
-
 [rule.io-no-unwrap]
 include = [\"**\"]
 
@@ -221,7 +202,7 @@ include = [\"**\"]
     let cfg = Config::parse(cfg_src).expect("fixture config parses");
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let report = lint_with_config(&root, &cfg).expect("fixture scan succeeds");
-    assert_eq!(report.files_scanned, 20);
+    assert_eq!(report.files_scanned, 18);
     assert!(!report.clean());
     // every rule appears among the active diagnostics...
     for rule in [
@@ -230,7 +211,6 @@ include = [\"**\"]
         "unsafe-needs-safety-comment",
         "cow-discipline",
         "codec-no-lossy-cast",
-        "pub-missing-docs",
         "io-no-unwrap",
         "wal-append-paired",
         WAIVER_MISSING_REASON,

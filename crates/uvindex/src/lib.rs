@@ -12,7 +12,7 @@
 //!    (Fig. 9(e)/(h)).
 //!
 //! The original implementation is not available, so this crate rebuilds the
-//! approach with the same cost profile (see DESIGN.md §3): each object's
+//! approach with the same cost profile (see ARCHITECTURE.md §1): each object's
 //! UV-cell boundary is traced by **ray marching** — for a fan of rays from
 //! the circle centre, a high-precision binary search finds the farthest
 //! point that is not dominated under exact circle distance arithmetic

@@ -90,8 +90,8 @@ fn region_around_mean(rng: &mut StdRng, dim: usize, sides: &[f64]) -> HyperRect 
     HyperRect::new(lo, hi)
 }
 
-/// Simulated stand-ins for the paper's real datasets (see DESIGN.md §3 for
-/// the substitution rationale).
+/// Simulated stand-ins for the paper's real datasets (see ARCHITECTURE.md
+/// §1 for the substitution rationale).
 pub mod realistic {
     use super::*;
 

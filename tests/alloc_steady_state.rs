@@ -13,13 +13,59 @@
 //! Everything lives in one `#[test]` because the counter is process-global:
 //! a sibling test allocating concurrently would poison the delta.
 
-use pv_bench::alloc_counter::{allocations, CountingAllocator};
 use pv_suite::core::db::Db;
 use pv_suite::core::{BatchSlots, LinearScan, ProbNnEngine, PvIndex, PvParams, QuerySpec};
 use pv_suite::workload::{queries, synthetic, SyntheticConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// System-allocator wrapper counting every allocation and reallocation.
+struct CountingAllocator;
+
+// SAFETY: defers every operation to `System`, only adding relaxed counter
+// bumps, which are allocation-free and reentrancy-safe.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: pure pass-through — the caller's obligations are `System`'s.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is forwarded unchanged, so `System`'s contract is
+        // the caller's contract; the counter bump cannot allocate or unwind.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: pure pass-through — the caller's obligations are `System`'s.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` come from the caller's matching `alloc`,
+        // which this wrapper served from `System` with the same layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: pure pass-through — the caller's obligations are `System`'s.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `System` via this wrapper with
+        // `layout`; the `new_size` obligations transfer verbatim.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: pure pass-through — the caller's obligations are `System`'s.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is forwarded unchanged to `System.alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+}
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Total allocations (+ reallocations) observed so far. Take deltas around
+/// the region of interest.
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 fn measure_steady_state<E: ProbNnEngine + Sync>(
     engine: &E,
@@ -80,7 +126,14 @@ fn steady_state_query_batch_allocates_nothing() {
     // per-query hot path itself is what must stay allocation-free.
     let spec = QuerySpec::new().with_batch_threads(1);
 
+    // A build allocates plenty, so a zero delta here means the counter is
+    // not the registered global allocator and every zero below is vacuous.
+    let before = allocations();
     let index = PvIndex::build(&db, PvParams::default());
+    assert!(
+        allocations() > before,
+        "counting allocator saw no allocations during PvIndex::build"
+    );
     let pv_allocs = measure_steady_state(&index, &points, &spec);
     assert_eq!(
         pv_allocs, 0,

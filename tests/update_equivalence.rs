@@ -1,7 +1,8 @@
 //! Incremental-maintenance soundness (§VI-B): after arbitrary interleavings
 //! of insertions and deletions, the incrementally maintained PV-index must
 //! answer Step 1 exactly like a naive scan and like a freshly rebuilt index.
-//! This also regression-tests the Lemma-8 erratum fix (see DESIGN.md §1).
+//! This also regression-tests the Lemma-8 erratum fix (see ARCHITECTURE.md
+//! §1).
 
 use pv_suite::core::{verify, PvIndex, PvParams, Step1Engine};
 use pv_suite::geom::HyperRect;

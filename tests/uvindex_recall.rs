@@ -1,7 +1,7 @@
 //! UV-index baseline validation: the ray-marched UV-cell stand-in must keep
-//! near-perfect Step-1 recall against the naive ground truth (see DESIGN.md
-//! §3 — this test quantifies the residual approximation risk of the
-//! substitution), while the PV-index stays exact on the same data.
+//! near-perfect Step-1 recall against the naive ground truth (see
+//! ARCHITECTURE.md §1 — this test quantifies the residual approximation risk
+//! of the substitution), while the PV-index stays exact on the same data.
 
 use pv_suite::core::{verify, PvIndex, PvParams, Step1Engine};
 use pv_suite::uvindex::{UvIndex, UvParams};

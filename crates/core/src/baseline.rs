@@ -141,11 +141,6 @@ impl RTreeBaseline {
     pub fn tree(&self) -> &RTree {
         &self.tree
     }
-
-    /// The uncertainty region of an indexed object.
-    pub fn region_of(&self, id: u64) -> Option<&HyperRect> {
-        self.objects.get(&id).map(|o| &o.region)
-    }
 }
 
 impl Step1Engine for RTreeBaseline {

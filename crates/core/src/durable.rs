@@ -13,11 +13,12 @@
 //!
 //! **Commit path.** Each [`DurableDb::commit`] applies its operation batch
 //! to a copy-on-write fork (validating every operation *before* anything
-//! touches disk), appends the encoded batch to the WAL, fsyncs per the
-//! [`SyncPolicy`], and only then publishes the successor snapshot to
-//! readers. An operation batch is therefore acknowledged if and only if it
-//! is in the log; a crash at any byte of the append leaves a torn tail the
-//! next replay truncates away — exactly the unacknowledged suffix.
+//! touches disk), hands the encoded batch to [`Wal::commit`] — append and
+//! fsync, or a durable rollback — and only then publishes the successor
+//! snapshot to readers. An operation batch is therefore acknowledged if and
+//! only if it is in the log; a crash at any byte of the append leaves a
+//! torn tail the next replay truncates away — exactly the unacknowledged
+//! suffix.
 //!
 //! **Rotation (compaction).** When the log passes the [`DurableOptions`]
 //! watermarks, the current engine state is written to `snap.<v>.tmp`,
@@ -63,7 +64,7 @@
 //!     HyperRect::new(vec![1.0, 41.0], vec![3.0, 43.0]),
 //!     8,
 //! ))?;
-//! assert!(commit.synced, "EveryCommit policy: acknowledged = crash-durable");
+//! assert!(commit.synced, "acknowledged = crash-durable");
 //! drop(db);
 //!
 //! // Reopen: the acknowledged insert survives.
@@ -75,6 +76,8 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::db::{Db, PersistentEngine, WritableEngine};
 use crate::error::{DbError, RecoveryError, SnapshotError};
@@ -146,26 +149,21 @@ pub fn decode_ops(bytes: &[u8]) -> Result<Vec<DbOp>, DecodeError> {
     Ok(ops)
 }
 
-/// When acknowledged commits are forced to stable storage.
+/// When acknowledged commits are forced to stable storage. Every commit
+/// goes through [`Wal::commit`], which fsyncs before it acknowledges, so
+/// this has a single variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// `fsync` after every commit: an `Ok` means the write survives any
-    /// crash. The default — and the policy the durability guarantees in
-    /// the module docs are stated for.
+    /// crash.
     EveryCommit,
-    /// `fsync` after every `n`-th commit: bounded loss window in exchange
-    /// for amortised fsync cost (group commit).
-    EveryN(u32),
-    /// Only [`DurableDb::sync`] fsyncs. Acknowledged-but-unsynced commits
-    /// can be lost to a crash — recovery still lands on an acknowledged
-    /// *prefix*, just maybe not the newest.
-    Manual,
 }
 
 /// Tuning for a [`DurableDb`].
 #[derive(Debug, Clone, Copy)]
 pub struct DurableOptions {
-    /// Fsync cadence for the commit path.
+    /// Fsync cadence for the commit path; [`SyncPolicy::EveryCommit`] is
+    /// the only one.
     pub sync: SyncPolicy,
     /// Rotate the snapshot once the log holds this many commits.
     pub compact_after_commits: u64,
@@ -207,13 +205,14 @@ pub struct RecoveryReport {
 
 /// The result of one durable commit.
 #[derive(Debug)]
-#[must_use = "check whether the commit was synced and whether compaction failed"]
+#[must_use = "check whether compaction failed"]
 pub struct DurableCommit {
     /// The version the batch published.
     pub version: u64,
     /// Per-operation engine statistics, in batch order.
     pub stats: Vec<UpdateStats>,
-    /// True when this commit is already fsynced (per the [`SyncPolicy`]).
+    /// True when this commit is already fsynced — always, since every
+    /// commit fsyncs before it is acknowledged.
     pub synced: bool,
     /// A snapshot rotation was triggered by the watermarks and failed.
     /// The commit itself *is* durable; the log just keeps growing until a
@@ -222,18 +221,15 @@ pub struct DurableCommit {
 }
 
 struct DurableState {
+    /// The log; once a failed commit poisons it, all further writes are
+    /// refused with [`DbError::Poisoned`].
     wal: Wal,
     /// Version of the current `snap.<v>.pvix` generation.
     snapshot_version: u64,
-    /// Commits acknowledged since the last fsync (for [`SyncPolicy::EveryN`]).
-    unsynced_commits: u32,
-    /// Set when a failed WAL append could not be rolled back; all further
-    /// writes are refused with [`DbError::Poisoned`].
-    poisoned: bool,
 }
 
-/// A [`Db`] whose commits survive crashes: write-ahead logged, fsynced per
-/// policy, and periodically checkpointed via atomic snapshot rotation.
+/// A [`Db`] whose commits survive crashes: write-ahead logged, fsynced on
+/// every commit, and periodically checkpointed via atomic snapshot rotation.
 ///
 /// Reads go through the inner [`Db`] ([`DurableDb::db`]) and keep all of
 /// its properties — snapshot isolation, pooled sessions, wait-free readers.
@@ -324,8 +320,6 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
             state: Mutex::new(DurableState {
                 wal,
                 snapshot_version: 0,
-                unsynced_commits: 0,
-                poisoned: false,
             }),
         })
     }
@@ -427,8 +421,6 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
                 state: Mutex::new(DurableState {
                     wal,
                     snapshot_version,
-                    unsynced_commits: 0,
-                    poisoned: false,
                 }),
             },
             report,
@@ -436,10 +428,10 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
     }
 
     /// Applies one operation batch durably: validate on a copy-on-write
-    /// fork, append to the WAL, fsync per policy, publish to readers —
-    /// in that order, so an `Ok` means the batch is logged (and, under
-    /// [`SyncPolicy::EveryCommit`], crash-durable), and an `Err` means no
-    /// reader will ever observe it and no replay will ever apply it.
+    /// fork, commit to the WAL (append and fsync), publish to readers — in
+    /// that order, so an `Ok` means the batch is logged and crash-durable,
+    /// and an `Err` means no reader will ever observe it and no replay will
+    /// ever apply it.
     ///
     /// # Errors
     /// Engine validation errors ([`DbError::DuplicateId`], …) leave disk
@@ -449,17 +441,13 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
     pub fn commit(&self, ops: &[DbOp]) -> Result<DurableCommit, DbError> {
         let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let state = &mut *guard;
-        if state.poisoned {
+        if state.wal.is_poisoned() {
             return Err(DbError::Poisoned);
         }
         let version = self.db.version() + 1;
         let body = encode_ops(ops);
-        let mut synced = false;
-        let mark = state.wal.mark();
         let wal = &mut state.wal;
-        let unsynced = &mut state.unsynced_commits;
-        let sync_policy = self.opts.sync;
-        let result = self.db.commit(|e| {
+        let stats = self.db.commit(|e| {
             // 1. Validate and apply every operation on the fork. Any
             //    engine error aborts before a byte is written.
             let mut stats = Vec::with_capacity(ops.len());
@@ -469,63 +457,11 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
                     DbOp::Remove(id) => e.apply_remove(*id)?,
                 });
             }
-            // 2. Log, then 3. sync per policy. Only after both does
+            // 2. Log and fsync (or roll back). Only after both does
             //    Db::commit publish the fork.
-            wal.append_commit(version, &body)?;
-            match sync_policy {
-                SyncPolicy::EveryCommit => {
-                    wal.sync()?;
-                    synced = true;
-                }
-                SyncPolicy::EveryN(n) => {
-                    *unsynced += 1;
-                    if *unsynced >= n {
-                        wal.sync()?;
-                        *unsynced = 0;
-                        synced = true;
-                    }
-                }
-                SyncPolicy::Manual => {}
-            }
+            wal.commit(version, &body)?;
             Ok(stats)
-        });
-
-        let stats = match result {
-            Ok(stats) => stats,
-            Err(e) => {
-                // Engine validation errors abort before the append — disk
-                // was never touched, so there is nothing to verify or roll
-                // back (and a transient stat failure must not poison a
-                // database whose log is pristine).
-                if !matches!(e, DbError::Wal(_)) {
-                    return Err(e);
-                }
-                // If the commit record reached the log but a later step
-                // failed (the fsync-marker append, or the fsync itself),
-                // this `Err` would otherwise be replayed by the next
-                // recovery — and the next commit would reuse its version
-                // and trip the WAL's monotonicity assert. Roll the log
-                // back to its pre-append state, durably.
-                let rolled_back = if state.wal.last_version() == version {
-                    state.wal.rollback_to(mark).is_ok()
-                } else {
-                    true
-                };
-                // The WAL rolls failed appends back internally; verify it
-                // managed to. A mismatch means torn bytes are on disk with
-                // no live bookkeeping for them — refuse further writes.
-                if !rolled_back
-                    || self
-                        .opts
-                        .retry
-                        .run(|| self.fs.len(state.wal.path()))
-                        .map_or(true, |on_disk| on_disk != state.wal.bytes())
-                {
-                    state.poisoned = true;
-                }
-                return Err(e);
-            }
-        };
+        })?;
 
         let compaction_error = if state.wal.commits() >= self.opts.compact_after_commits
             || state.wal.bytes() >= self.opts.compact_after_bytes
@@ -537,7 +473,7 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
         Ok(DurableCommit {
             version,
             stats,
-            synced,
+            synced: true,
             compaction_error,
         })
     }
@@ -552,25 +488,13 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
         self.commit(&[DbOp::Remove(id)])
     }
 
-    /// Forces every acknowledged commit to stable storage now, regardless
-    /// of the [`SyncPolicy`].
-    pub fn sync(&self) -> Result<(), DbError> {
-        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if guard.poisoned {
-            return Err(DbError::Poisoned);
-        }
-        guard.wal.sync()?;
-        guard.unsynced_commits = 0;
-        Ok(())
-    }
-
     /// Rotates the current engine state into a new snapshot generation and
     /// truncates the log — the checkpoint the watermarks trigger
     /// automatically. Safe to call at any point; a crash anywhere inside
     /// leaves a recoverable directory.
     pub fn compact(&self) -> Result<(), DbError> {
         let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if guard.poisoned {
+        if guard.wal.is_poisoned() {
             return Err(DbError::Poisoned);
         }
         self.compact_locked(&mut guard)
@@ -581,12 +505,6 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
         let version = reader.version();
         if version == state.snapshot_version && state.wal.commits() == 0 {
             return Ok(());
-        }
-        // Unsynced commits must be durable before the generation that
-        // contains them replaces the log that also contains them.
-        if state.wal.synced_version() < state.wal.last_version() {
-            state.wal.sync()?;
-            state.unsynced_commits = 0;
         }
         let bytes = reader.engine().snapshot_bytes()?;
         let tmp = snap_tmp_path(&self.dir, version);
@@ -642,17 +560,8 @@ impl<E: WritableEngine + PersistentEngine> DurableDb<E> {
         self.state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .poisoned
-    }
-}
-
-impl<E: WritableEngine + PersistentEngine> Db<E> {
-    /// Opens (recovers) a durable database from `dir` with default
-    /// [`DurableOptions`] — sugar for [`DurableDb::open`].
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-    ) -> Result<(DurableDb<E>, RecoveryReport), RecoveryError> {
-        DurableDb::open(dir, DurableOptions::default())
+            .wal
+            .is_poisoned()
     }
 }
 

@@ -593,7 +593,10 @@ impl PvIndex {
         self.octree
             .range_query(probe_ubr)
             .iter()
-            .map(|rec| decode_leaf_record(rec, self.dim))
+            .map(|rec| {
+                decode_leaf_record(rec, self.dim)
+                    .expect("leaf records are encode_leaf_record output")
+            })
             .filter(|(id, _)| *id != other.id)
             .filter(|(_, region)| !region.intersects(&other.region)) // Lemma 8(3)
             .filter(|(id, _)| {
@@ -801,11 +804,6 @@ impl PvIndex {
         let stats = fresh.build_stats.clone();
         *self = fresh;
         stats
-    }
-
-    /// Mean-tree leaf visits (construction-side I/O diagnostics).
-    pub fn mean_tree_leaf_visits(&self) -> u64 {
-        self.mean_tree.stats.leaf_visits.load(Ordering::Relaxed)
     }
 }
 

@@ -174,8 +174,7 @@ impl BatchSlots {
 ///
 /// let spec = QuerySpec::point(Point::new(vec![1.0, 2.0]))
 ///     .with_threshold(0.1)
-///     .with_top_k(5)
-///     .with_io_budget(64);
+///     .with_top_k(5);
 /// assert_eq!(spec.top_k(), Some(5));
 /// assert_eq!(spec.threshold(), Some(0.1));
 /// ```
@@ -186,7 +185,6 @@ pub struct QuerySpec {
     threshold: Option<f64>,
     top_k: Option<usize>,
     step1_only: bool,
-    io_budget: Option<u64>,
     batch_threads: Option<usize>,
 }
 
@@ -236,23 +234,6 @@ impl QuerySpec {
         self
     }
 
-    /// Best-effort cap on total pages read per query (Step 1 + Step 2).
-    /// Once the running count reaches the budget no further candidate
-    /// payload is fetched and the outcome is flagged
-    /// [`truncated`](QueryOutcome::truncated); probabilities computed from a
-    /// truncated candidate set are upper bounds, not exact values.
-    ///
-    /// Engines that meter I/O through a shared pager (PV-index, UV-index)
-    /// count concurrent queries' page reads against each other's budgets, so
-    /// under a parallel [`ProbNnEngine::query_batch`] the truncation point —
-    /// and therefore the answer set — can vary run to run. Combine a budget
-    /// with [`QuerySpec::with_batch_threads`]`(1)` when reproducible
-    /// budgeted results matter.
-    pub fn with_io_budget(mut self, pages: u64) -> Self {
-        self.io_budget = Some(pages);
-        self
-    }
-
     /// Worker threads for [`ProbNnEngine::query_batch`] (default: one per
     /// available core, capped at the batch size). `1` forces sequential
     /// execution.
@@ -281,11 +262,6 @@ impl QuerySpec {
         self.step1_only
     }
 
-    /// The per-query I/O budget, if any.
-    pub fn io_budget(&self) -> Option<u64> {
-        self.io_budget
-    }
-
     /// The requested batch parallelism, if any.
     pub fn batch_threads(&self) -> Option<usize> {
         self.batch_threads
@@ -311,13 +287,8 @@ pub struct QueryOutcome {
     pub answers: Vec<(u64, f64)>,
     /// Per-phase cost breakdown.
     pub stats: QueryStats,
-    /// True when an [`QuerySpec::with_io_budget`] stopped Step 2 before
-    /// every relevant candidate was processed (answers are then
-    /// approximate).
-    pub truncated: bool,
-    /// Candidates whose pdf payload was never fetched: proven-zero
-    /// candidates removed by early termination, plus any cut by the I/O
-    /// budget.
+    /// Candidates whose pdf payload was never fetched: the proven-zero
+    /// candidates removed by early termination.
     pub skipped_payloads: usize,
 }
 
@@ -345,7 +316,6 @@ impl QueryOutcome {
         self.candidates.clear();
         self.answers.clear();
         self.stats = QueryStats::default();
-        self.truncated = false;
         self.skipped_payloads = 0;
     }
 }
@@ -369,8 +339,6 @@ pub struct BatchStats {
     pub io_reads: u64,
     /// Total answers across the batch.
     pub answers: usize,
-    /// Queries flagged [`QueryOutcome::truncated`].
-    pub truncated: usize,
 }
 
 impl BatchStats {
@@ -595,9 +563,8 @@ pub trait ProbNnEngine: Step1Engine {
         }
 
         let t1 = Instant::now();
-        // Visit candidates in ascending distmin² order so that (a) early
-        // termination can stop at the first provably-irrelevant candidate
-        // and (b) an I/O budget keeps the most promising ones.
+        // Visit candidates in ascending distmin² order so that early
+        // termination can stop at the first provably-irrelevant candidate.
         scratch.order.clear();
         for &id in out.candidates.iter() {
             scratch
@@ -619,13 +586,6 @@ pub trait ProbNnEngine: Step1Engine {
                 // irrelevant too (see the module-level soundness argument).
                 out.skipped_payloads = scratch.order.len() - i;
                 break;
-            }
-            if let Some(budget) = spec.io_budget() {
-                if out.stats.step1.io_reads + pc_io >= budget {
-                    out.truncated = true;
-                    out.skipped_payloads = scratch.order.len() - i;
-                    break;
-                }
             }
             let start = scratch.dists.len() as u32;
             pc_io += self.fetch_dists_sq(id, q, &mut scratch.dists, &mut scratch.fetch);
@@ -784,7 +744,6 @@ pub trait ProbNnEngine: Step1Engine {
             wall_time: t0.elapsed(),
             io_reads: slots.outcomes.iter().map(|o| o.stats.total_io()).sum(),
             answers: slots.outcomes.iter().map(|o| o.answers.len()).sum(),
-            truncated: slots.outcomes.iter().filter(|o| o.truncated).count(),
         })
     }
 }
@@ -838,7 +797,6 @@ mod tests {
         let out = scan.execute(&q, &QuerySpec::new()).unwrap();
         assert_eq!(out.answers, vec![(1, 1.0), (2, 0.0)]);
         assert_eq!(out.skipped_payloads, 0);
-        assert!(!out.truncated);
     }
 
     #[test]
@@ -894,23 +852,6 @@ mod tests {
             assert_eq!(&cur[..prefix.len()], &prefix[..], "top_k({k}) prefix");
             prefix = cur;
         }
-    }
-
-    #[test]
-    fn io_budget_truncates_and_flags() {
-        let db = skip_db();
-        let scan = LinearScan::new(&db);
-        let q = Point::new(vec![0.0]);
-        let out = scan
-            .execute(&q, &QuerySpec::new().with_io_budget(1))
-            .unwrap();
-        assert!(out.truncated);
-        assert!(out.answers.len() <= out.candidates.len());
-        let roomy = scan
-            .execute(&q, &QuerySpec::new().with_io_budget(1_000))
-            .unwrap();
-        assert!(!roomy.truncated);
-        assert_eq!(roomy.answers.len(), 2);
     }
 
     #[test]
@@ -980,7 +921,6 @@ mod tests {
                 let fresh = scan.execute(&q, &spec).unwrap();
                 assert_eq!(out.answers, fresh.answers);
                 assert_eq!(out.candidates, fresh.candidates);
-                assert_eq!(out.truncated, fresh.truncated);
                 assert_eq!(out.skipped_payloads, fresh.skipped_payloads);
             }
         }

@@ -28,6 +28,12 @@
 //! [`std::io::ErrorKind::InvalidData`] by the path-based `save`/`load`
 //! wrappers), never as a panic.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::baseline::RTreeBaseline;
 use crate::cset::build_mean_tree;
 use crate::params::{CSetStrategy, PvParams};
@@ -113,11 +119,11 @@ pub fn try_build_stats(r: &mut codec::Reader) -> Result<BuildStats, DecodeError>
     Ok(BuildStats {
         total_time: try_duration(r)?,
         insert_time: try_duration(r)?,
-        ubr_count: r.try_u64()? as usize,
+        ubr_count: r.try_usize("build stats UBR count")?,
         se: SeStats {
             cset_time: try_duration(r)?,
             refine_time: try_duration(r)?,
-            cset_size: r.try_u64()? as usize,
+            cset_size: r.try_usize("build stats C-set size")?,
             slab_tests: r.try_u64()?,
             shrinks: r.try_u64()?,
             expands: r.try_u64()?,
@@ -157,7 +163,7 @@ pub fn try_pager_image(r: &mut codec::Reader) -> Result<MemPager, DecodeError> {
             context: "pager image page size",
         });
     }
-    let slots = r.try_u64()? as usize;
+    let slots = r.try_usize("pager image slot count")?;
     let mut image = Vec::with_capacity(slots.min(1 << 20));
     for _ in 0..slots {
         match r.try_u8()? {
@@ -190,7 +196,7 @@ fn put_objects(out: &mut Vec<u8>, objects: &HashMap<u64, UncertainObject>) -> Ve
 /// Reads a catalog written by `put_objects`, returning objects in stored
 /// (ascending-id) order.
 fn try_objects(r: &mut codec::Reader) -> Result<Vec<UncertainObject>, DecodeError> {
-    let n = r.try_u64()? as usize;
+    let n = r.try_usize("object catalog length")?;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
         let rec = r.try_bytes()?;
@@ -268,7 +274,7 @@ fn try_params(r: &mut codec::Reader) -> Result<PvParams, DecodeError> {
     let mmax = r.try_u32()? as usize;
     let cset = try_cset(r)?;
     let page_size = r.try_u32()? as usize;
-    let mem_budget = r.try_u64()? as usize;
+    let mem_budget = r.try_usize("memory budget")?;
     let rtree_fanout = r.try_u32()? as usize;
     let ubr_quantize_steps = match r.try_u16()? {
         0 => None,
@@ -281,7 +287,7 @@ fn try_params(r: &mut codec::Reader) -> Result<PvParams, DecodeError> {
         }
     };
     let update_cset = try_cset(r)?;
-    let update_budget = r.try_u64()? as usize;
+    let update_budget = r.try_usize("update budget")?;
     let approx_epsilon = r.try_f64()?;
     if !(approx_epsilon.is_finite() && approx_epsilon >= 0.0) {
         return Err(DecodeError::Invalid {

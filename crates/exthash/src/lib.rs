@@ -164,24 +164,26 @@ impl<P: Pager> ExtHash<P> {
         self.directory[idx]
     }
 
+    /// Parses a bucket page. Total like [`ExtHash::get_into`]: a page
+    /// shorter than its own record count claims (corruption) yields the
+    /// records that fit; well-formed pages take the same byte offsets.
     fn parse_bucket(page: &[u8]) -> (u16, Vec<Record>) {
         let local_depth = u16::from_le_bytes([page[0], page[1]]);
         let count = u16::from_le_bytes([page[2], page[3]]) as usize;
-        let mut records = Vec::with_capacity(count);
-        let mut off = BUCKET_HDR;
-        for _ in 0..count {
-            let mut r = codec::Reader::new(&page[off..]);
-            let key = r.u64();
-            let inline_len = r.u32() as usize;
-            let overflow = PageId(r.u64());
-            let start = off + REC_FIXED;
-            records.push(Record {
+        let mut r = codec::Reader::new(page.get(BUCKET_HDR..).unwrap_or_default());
+        let mut next = || -> Result<Record, codec::DecodeError> {
+            let key = r.try_u64()?;
+            let inline_len = r.try_u32()? as usize;
+            let overflow = PageId(r.try_u64()?);
+            let inline = r.try_take(inline_len)?;
+            Ok(Record {
                 key,
-                inline: page[start..start + inline_len].to_vec(),
+                inline,
                 overflow,
-            });
-            off = start + inline_len;
-        }
+            })
+        };
+        let mut records = Vec::with_capacity(count);
+        records.extend((0..count).map_while(|_| next().ok()));
         (local_depth, records)
     }
 

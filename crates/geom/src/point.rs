@@ -44,12 +44,6 @@ impl Point {
         &self.coords
     }
 
-    /// Mutable coordinate slice.
-    #[inline]
-    pub fn coords_mut(&mut self) -> &mut [f64] {
-        &mut self.coords
-    }
-
     /// Squared Euclidean distance to another point.
     #[inline]
     pub fn dist_sq(&self, other: &Point) -> f64 {

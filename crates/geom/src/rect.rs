@@ -172,15 +172,6 @@ impl HyperRect {
         )
     }
 
-    /// Extends `self` in place to cover `other`.
-    pub fn union_in_place(&mut self, other: &HyperRect) {
-        debug_assert_eq!(self.dim(), other.dim());
-        for j in 0..self.dim() {
-            self.lo[j] = self.lo[j].min(other.lo[j]);
-            self.hi[j] = self.hi[j].max(other.hi[j]);
-        }
-    }
-
     /// Intersection, or `None` when disjoint.
     pub fn intersection(&self, other: &HyperRect) -> Option<HyperRect> {
         if !self.intersects(other) {

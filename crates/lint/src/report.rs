@@ -341,8 +341,8 @@ mod tests {
                 message: "indexing".to_string(),
             }],
             waived: vec![Diagnostic {
-                rule: "io-no-unwrap",
-                file: "crates/storage/src/wal.rs".to_string(),
+                rule: "hot-path-no-alloc",
+                file: "crates/core/src/prob.rs".to_string(),
                 line: 7,
                 message: "unwrap".to_string(),
             }],
@@ -396,7 +396,7 @@ mod tests {
         let mut new_rule = base.clone();
         new_rule
             .rules
-            .insert("wal-append-paired".to_string(), (1, 0));
+            .insert("hot-path-no-alloc".to_string(), (1, 0));
         assert_eq!(base.regressions(&new_rule).len(), 1);
         // shrinking is fine
         let mut better = base.clone();

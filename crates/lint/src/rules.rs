@@ -1,4 +1,4 @@
-//! The rule engine: file analysis, the seven project rules, and waivers.
+//! The rule engine: file analysis, the two hot-path rules, and waivers.
 //!
 //! Each rule is a pure function over a [`FileAnalysis`] — the lexed token
 //! stream plus derived structure (`#[cfg(test)]` regions, `fn` bodies,
@@ -50,7 +50,7 @@ pub struct Diagnostic {
 /// at. The `&str` is the function's name (for messages).
 pub type BodyCheck = fn(&FileAnalysis<'_>, std::ops::Range<usize>, &str, &mut Vec<Diagnostic>);
 
-/// A registered rule: name, one-line description, checker.
+/// A registered rule: name, one-line description, checkers.
 #[derive(Debug)]
 pub struct Rule {
     /// Kebab-case rule name, referenced from `lint.toml` and waivers.
@@ -58,15 +58,14 @@ pub struct Rule {
     /// One-line description (for `--list-rules` and the JSON report).
     pub description: &'static str,
     check: fn(&FileAnalysis<'_>, &mut Vec<Diagnostic>),
-    /// For transitive rules: the body-scoped form the engine applies to
-    /// every function reachable from the rule's declared entry points.
-    body_check: Option<BodyCheck>,
+    /// The body-scoped form the engine applies to every function reachable
+    /// from the rule's declared entry points.
+    body_check: BodyCheck,
 }
 
 impl Rule {
-    /// The body-scoped checker, when the rule supports transitive closure
-    /// application (`None` for purely lexical/structural rules).
-    pub fn body_check(&self) -> Option<BodyCheck> {
+    /// The body-scoped checker the call-graph closure applies.
+    pub fn body_check(&self) -> BodyCheck {
         self.body_check
     }
 
@@ -85,7 +84,7 @@ pub const RULES: &[Rule] = &[
                       (typed QueryError or type-level invariants instead); transitive over the \
                       call-graph closure of the declared entry points",
         check: hot_path_no_panic,
-        body_check: Some(no_panic_body),
+        body_check: no_panic_body,
     },
     Rule {
         name: "hot-path-no-alloc",
@@ -93,45 +92,7 @@ pub const RULES: &[Rule] = &[
                       inside *_into kernels and everything they reach — the static complement of \
                       the counting-allocator test",
         check: hot_path_no_alloc,
-        body_check: Some(no_alloc_body),
-    },
-    Rule {
-        name: "unsafe-needs-safety-comment",
-        description: "every `unsafe` block/fn/impl carries a SAFETY: comment within the three \
-                      preceding lines",
-        check: unsafe_needs_safety_comment,
-        body_check: None,
-    },
-    Rule {
-        name: "cow-discipline",
-        description: "page bytes are only mutated through the designated Arc::get_mut/dirty-copy \
-                      helpers (Arc::make_mut and stray Arc::get_mut flagged)",
-        check: cow_discipline,
-        body_check: None,
-    },
-    Rule {
-        name: "codec-no-lossy-cast",
-        description: "no bare `as` narrowing to sub-64-bit numeric types in codec/snapshot \
-                      modules — use try_into + DecodeError (decode) or checked put_* helpers (encode)",
-        check: codec_no_lossy_cast,
-        body_check: None,
-    },
-    Rule {
-        name: "io-no-unwrap",
-        description: "no .unwrap()/.expect() on io::Result values in storage non-test code — \
-                      propagate the error, retry via RetryPolicy, or panic with context via \
-                      unwrap_or_else at a documented infallible boundary; transitive over the \
-                      DurableDb/Wal closure",
-        check: io_no_unwrap,
-        body_check: Some(io_no_unwrap_body),
-    },
-    Rule {
-        name: "wal-append-paired",
-        description: "every non-test append_commit call site takes a WalMark first, syncs after, \
-                      keeps a rollback_to on the error path, and never drops the #[must_use] \
-                      mark/commit results (the acknowledged⟺logged protocol of ARCHITECTURE §3d)",
-        check: wal_append_paired,
-        body_check: None,
+        body_check: no_alloc_body,
     },
 ];
 
@@ -162,7 +123,7 @@ pub struct FileAnalysis<'a> {
     pub src: &'a str,
     /// Significant tokens (trivia stripped), in order.
     pub sig: Vec<Token>,
-    /// All tokens, including trivia (comments drive waivers/SAFETY checks).
+    /// All tokens, including trivia (comments drive waivers).
     pub tokens: Vec<Token>,
     /// `sig`-index of a `{` → `sig`-index of its matching `}`.
     brace_match: Vec<Option<usize>>,
@@ -705,400 +666,6 @@ fn no_alloc_scan(
     }
 }
 
-/// `unsafe-needs-safety-comment`: every `unsafe` keyword (block, fn, impl)
-/// must have a comment containing `SAFETY` on its own line or one of the
-/// three lines above it.
-fn unsafe_needs_safety_comment(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
-    let safety_lines: Vec<u32> = a
-        .tokens
-        .iter()
-        .filter(|t| {
-            matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-                && (t.text(a.src).contains("SAFETY") || t.text(a.src).contains("# Safety"))
-        })
-        .map(|t| t.line)
-        .collect();
-    for i in 0..a.sig.len() {
-        if !a.is_ident(i, "unsafe") {
-            continue;
-        }
-        let line = a.sig[i].line;
-        let covered = safety_lines.iter().any(|&l| l <= line && l + 3 >= line);
-        if !covered {
-            diag(
-                out,
-                "unsafe-needs-safety-comment",
-                a,
-                line,
-                "`unsafe` without a `// SAFETY:` comment in the three preceding lines — \
-                 state the invariant that makes this sound"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// `cow-discipline`: in `pv-storage`, page bytes may only be mutated via
-/// the designated `Arc::get_mut`-fast-path/dirty-copy helpers. Any
-/// `Arc::make_mut` (or unchecked variant) is flagged outright; `Arc::get_mut`
-/// is flagged so that only the helpers themselves — which carry waivers
-/// documenting the discipline — may use it.
-fn cow_discipline(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
-    for i in 0..a.sig.len() {
-        let t = &a.sig[i];
-        if t.kind != TokenKind::Ident || a.in_test(t.line) {
-            continue;
-        }
-        let name = a.sig_text(i);
-        if name == "make_mut" || name == "get_mut_unchecked" {
-            diag(
-                out,
-                "cow-discipline",
-                a,
-                t.line,
-                format!(
-                    "`{name}` bypasses the page copy-on-write discipline — route the mutation \
-                 through the Pager::write get_mut/dirty-copy path"
-                ),
-            );
-        } else if name == "get_mut"
-            && i >= 3
-            && a.is_punct(i - 1, ":")
-            && a.is_punct(i - 2, ":")
-            && a.is_ident(i - 3, "Arc")
-        {
-            diag(
-                out,
-                "cow-discipline",
-                a,
-                t.line,
-                "`Arc::get_mut` on shared bytes — only the designated dirty-copy helpers may \
-                 do this (they carry the waiver documenting the discipline)"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// `codec-no-lossy-cast`: a bare `as` cast to a sub-64-bit numeric type in
-/// a codec/snapshot module can silently truncate on-disk values. Decode
-/// paths must use `try_into` + `DecodeError`; encode paths the checked
-/// `put_*` helpers.
-fn codec_no_lossy_cast(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
-    const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-    for i in 0..a.sig.len().saturating_sub(1) {
-        if !a.is_ident(i, "as") || a.in_test(a.sig[i].line) {
-            continue;
-        }
-        if a.sig[i + 1].kind == TokenKind::Ident && NARROW.contains(&a.sig_text(i + 1)) {
-            diag(
-                out,
-                "codec-no-lossy-cast",
-                a,
-                a.sig[i].line,
-                format!(
-                    "bare `as {}` can silently truncate — use try_into (DecodeError on decode, \
-                 the checked codec::put_* helpers on encode)",
-                    a.sig_text(i + 1)
-                ),
-            );
-        }
-    }
-}
-
-/// `io-no-unwrap`: `.unwrap()` / `.expect()` on an `io::Result` outside
-/// tests. An I/O failure is an environment condition, not a logic bug, so
-/// it must surface as a value (the wal/durable layers carry it as
-/// `WalError`/`DbError`, transient kinds retry via `RetryPolicy`) — or, at
-/// a boundary that is infallible by contract (e.g. the `Pager` trait),
-/// convert explicitly with `unwrap_or_else(|e| panic!(...))` so the panic
-/// carries the underlying error.
-///
-/// Heuristic: the unwrap's statement (back to the nearest `;`/`{`/`}`)
-/// contains an I/O-operation call (`open`, `read_exact`, `sync_all`, the
-/// `Fs` trait surface, …). Slice `try_into().unwrap()` and other
-/// infallible conversions in the same files stay unflagged.
-fn io_no_unwrap(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
-    io_unwrap_scan(a, 0..a.sig.len(), out);
-}
-
-/// Body-scoped form of `io-no-unwrap` for closure application.
-fn io_no_unwrap_body(
-    a: &FileAnalysis<'_>,
-    body: std::ops::Range<usize>,
-    _fn_name: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    io_unwrap_scan(a, body, out);
-}
-
-fn io_unwrap_scan(a: &FileAnalysis<'_>, range: std::ops::Range<usize>, out: &mut Vec<Diagnostic>) {
-    const IO_OPS: &[&str] = &[
-        "read",
-        "read_exact",
-        "read_to_end",
-        "read_to_string",
-        "write",
-        "write_all",
-        "append",
-        "seek",
-        "sync",
-        "sync_all",
-        "sync_data",
-        "sync_dir",
-        "flush",
-        "metadata",
-        "set_len",
-        "open",
-        "create",
-        "create_dir_all",
-        "rename",
-        "remove",
-        "remove_file",
-        "remove_dir",
-        "remove_dir_all",
-        "read_dir",
-        "copy",
-        "truncate",
-    ];
-    for i in range {
-        let t = &a.sig[i];
-        if t.kind != TokenKind::Ident || a.in_test(t.line) {
-            continue;
-        }
-        let name = a.sig_text(i);
-        if name != "unwrap" && name != "expect" {
-            continue;
-        }
-        if !(i > 0 && a.is_punct(i - 1, ".") && i + 1 < a.sig.len() && a.is_punct(i + 1, "(")) {
-            continue;
-        }
-        // Walk back through the statement looking for an I/O-op call.
-        let mut io_op = None;
-        let mut j = i - 1;
-        while j > 0 {
-            j -= 1;
-            let s = &a.sig[j];
-            if s.kind == TokenKind::Punct && matches!(a.sig_text(j), ";" | "{" | "}") {
-                break;
-            }
-            if s.kind == TokenKind::Ident
-                && IO_OPS.contains(&a.sig_text(j))
-                && j + 1 < a.sig.len()
-                && a.is_punct(j + 1, "(")
-            {
-                io_op = Some(a.sig_text(j));
-                break;
-            }
-        }
-        if let Some(op) = io_op {
-            diag(
-                out,
-                "io-no-unwrap",
-                a,
-                t.line,
-                format!(
-                    "`.{name}()` on the result of `{op}(…)` — an I/O error is an environment \
-                 condition, not a bug: propagate it (WalError/DbError, RetryPolicy for \
-                 transient kinds) or convert via `unwrap_or_else(|e| panic!(…))` at a \
-                 documented infallible boundary"
-                ),
-            );
-        }
-    }
-}
-
-/// `wal-append-paired`: the acknowledged⟺logged protocol, checked
-/// structurally. In every non-test function that calls `append_commit`:
-///
-/// * a `mark()` must be taken *before* the append (so a failure can be
-///   rolled back to a known-good WAL length);
-/// * a `sync()`/`sync_data()`/`sync_all()` must follow the append in the
-///   same function (fsync before the commit is published);
-/// * a `rollback_to(…)` must appear somewhere in the function (the error
-///   path durably undoes the append);
-/// * the results of `mark`/`append_commit`/`rollback_to` are `#[must_use]`
-///   (`WalMark`, offsets, `io::Result`) and must be bound, propagated, or
-///   otherwise consumed — a dropped mark is an unreachable rollback.
-///
-/// `DurableDb::commit` is the reference implementation of the shape this
-/// rule accepts.
-fn wal_append_paired(a: &FileAnalysis<'_>, out: &mut Vec<Diagnostic>) {
-    const MUST_USE_CALLS: &[&str] = &["mark", "append_commit", "rollback_to"];
-    let items = crate::parser::parse_items(a.src, &a.sig);
-    for it in &items {
-        if it.body.is_none() || a.in_test(it.line) {
-            continue;
-        }
-        let non_macro =
-            |c: &&crate::parser::CallSite| !matches!(c.callee, crate::parser::Callee::Macro(_));
-        let appends: Vec<_> = it
-            .calls
-            .iter()
-            .filter(non_macro)
-            .filter(|c| c.callee.name() == "append_commit")
-            .collect();
-        if appends.is_empty() {
-            continue;
-        }
-        let has_rollback = it
-            .calls
-            .iter()
-            .filter(non_macro)
-            .any(|c| c.callee.name() == "rollback_to");
-        for call in &appends {
-            if a.in_test(call.line) {
-                continue;
-            }
-            let mark_before = it
-                .calls
-                .iter()
-                .filter(non_macro)
-                .any(|c| c.callee.name() == "mark" && c.sig_index < call.sig_index);
-            let sync_after = it.calls.iter().filter(non_macro).any(|c| {
-                matches!(c.callee.name(), "sync" | "sync_data" | "sync_all")
-                    && c.sig_index > call.sig_index
-            });
-            if !mark_before {
-                diag(
-                    out,
-                    "wal-append-paired",
-                    a,
-                    call.line,
-                    "`append_commit` without a prior `mark()` in the same function — take a \
-                     WalMark first so a failed commit can roll the log back"
-                        .to_string(),
-                );
-            }
-            if !sync_after {
-                diag(
-                    out,
-                    "wal-append-paired",
-                    a,
-                    call.line,
-                    "`append_commit` with no `sync()` after it in the same function — \
-                     acknowledged⟺logged requires fsync before the commit is published"
-                        .to_string(),
-                );
-            }
-            if !has_rollback {
-                diag(
-                    out,
-                    "wal-append-paired",
-                    a,
-                    call.line,
-                    "`append_commit` with no `rollback_to(mark)` anywhere in the function — \
-                     the error path must durably undo the append"
-                        .to_string(),
-                );
-            }
-        }
-        // #[must_use] discipline, checked only in functions that append —
-        // `mark` is too generic a name to police everywhere.
-        for call in it.calls.iter().filter(non_macro) {
-            let name = call.callee.name();
-            if !MUST_USE_CALLS.contains(&name) || a.in_test(call.line) {
-                continue;
-            }
-            if call_result_dropped(a, call.sig_index) {
-                diag(
-                    out,
-                    "wal-append-paired",
-                    a,
-                    call.line,
-                    format!(
-                        "result of `{name}` is dropped — WalMark/DurableCommit/io::Result are \
-                         #[must_use]: bind it, propagate with `?`, or handle the error arm"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// True when the call whose name token is at `name_idx` has its result
-/// dropped: the statement ends at the call's `)` with no binding (`let`),
-/// assignment, `return`, or match/if head consuming the value.
-fn call_result_dropped(a: &FileAnalysis<'_>, name_idx: usize) -> bool {
-    // Locate the argument list: `name(` or `name::<T>(`.
-    let mut open = name_idx + 1;
-    if open + 2 < a.sig.len()
-        && a.is_punct(open, ":")
-        && a.is_punct(open + 1, ":")
-        && a.is_punct(open + 2, "<")
-    {
-        let mut depth = 0i32;
-        let mut j = open + 2;
-        while j < a.sig.len() {
-            if a.is_punct(j, "<") {
-                depth += 1;
-            } else if a.is_punct(j, ">") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        open = j + 1;
-    }
-    if open >= a.sig.len() || !a.is_punct(open, "(") {
-        return false; // not a call shape after all — don't guess
-    }
-    let mut depth = 0i32;
-    let mut close = open;
-    while close < a.sig.len() {
-        if a.is_punct(close, "(") {
-            depth += 1;
-        } else if a.is_punct(close, ")") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        close += 1;
-    }
-    if close + 1 >= a.sig.len() {
-        return false;
-    }
-    // Consumed directly after the call?
-    let next = close + 1;
-    if a.sig[next].kind == TokenKind::Punct {
-        match a.sig_text(next) {
-            "?" | "." | ")" | "," | "}" | "{" => return false,
-            ";" => {}
-            _ => return false, // operators etc. consume the value
-        }
-    } else {
-        return false; // `)` followed by an ident: match-arm guard or similar
-    }
-    // `…();` — dropped unless the statement head binds or redirects it.
-    let mut k = name_idx;
-    while k > 0 {
-        k -= 1;
-        if a.sig[k].kind == TokenKind::Punct {
-            match a.sig_text(k) {
-                ";" | "{" | "}" => return true, // statement start reached
-                "=" => {
-                    // Assignment consumes; comparisons (`==`, `<=`, `>=`,
-                    // `!=`) and fat arrows do not end the search.
-                    let cmp = (k > 0 && matches!(a.sig_text(k - 1), "=" | "<" | ">" | "!"))
-                        || (k + 1 < a.sig.len() && matches!(a.sig_text(k + 1), "=" | ">"));
-                    if !cmp {
-                        return false;
-                    }
-                }
-                _ => {}
-            }
-        } else if a.sig[k].kind == TokenKind::Ident
-            && matches!(a.sig_text(k), "let" | "return" | "match" | "if" | "while")
-        {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1169,110 +736,6 @@ fn free_fn() { let v = data.to_vec(); }
         let (active, _) = run("hot-path-no-alloc", src);
         assert_eq!(active.len(), 3, "{active:?}");
         assert!(active.iter().all(|d| (2..=4).contains(&d.line)));
-    }
-
-    #[test]
-    fn unsafe_requires_nearby_safety_comment() {
-        let bad = "unsafe fn f() {}\n";
-        assert_eq!(run("unsafe-needs-safety-comment", bad).0.len(), 1);
-        let good = "// SAFETY: no-op\nunsafe fn f() {}\n";
-        assert!(run("unsafe-needs-safety-comment", good).0.is_empty());
-        let far = "// SAFETY: too far away\n\n\n\n\nunsafe fn f() {}\n";
-        assert_eq!(run("unsafe-needs-safety-comment", far).0.len(), 1);
-    }
-
-    #[test]
-    fn cow_discipline_flags_make_mut_and_arc_get_mut() {
-        let src = "fn f() { Arc::make_mut(&mut a); Arc::get_mut(&mut b); c.get_mut(0); }";
-        let (active, _) = run("cow-discipline", src);
-        assert_eq!(active.len(), 2, "{active:?}"); // BTreeMap-style .get_mut is fine
-    }
-
-    #[test]
-    fn lossy_cast_flags_narrowing_only() {
-        let src = "fn f(n: usize) { let a = n as u32; let b = n as u64; let c = 3u32 as usize; }";
-        let (active, _) = run("codec-no-lossy-cast", src);
-        assert_eq!(active.len(), 1, "{active:?}");
-    }
-
-    #[test]
-    fn io_unwrap_needs_io_call_in_statement() {
-        // unwrap on an I/O call's result fires; slice try_into does not.
-        let src = "fn f(p: &Path) { let f = File::open(p).unwrap(); f.sync_all().expect(\"s\"); }";
-        let (active, _) = run("io-no-unwrap", src);
-        assert_eq!(active.len(), 2, "{active:?}");
-        let clean = "fn g(d: &[u8]) -> u64 { u64::from_le_bytes(d[..8].try_into().unwrap()) }";
-        assert!(run("io-no-unwrap", clean).0.is_empty());
-        // the sanctioned boundary idiom is not an unwrap
-        let boundary = "fn h(f: &mut File, b: &mut [u8]) { f.read_exact(b).unwrap_or_else(|e| panic!(\"{e}\")); }";
-        assert!(run("io-no-unwrap", boundary).0.is_empty());
-        // the statement walk stops at `;`: I/O in a *previous* statement
-        // does not taint a later infallible unwrap
-        let prev = "fn k(f: &mut File) { f.sync_all()?; let x: u32 = 7i64.try_into().unwrap(); }";
-        assert!(run("io-no-unwrap", prev).0.is_empty());
-    }
-
-    #[test]
-    fn wal_append_paired_accepts_the_commit_shape() {
-        // The shape DurableDb::commit actually has: mark → append (`?`) →
-        // policy-gated sync → rollback_to consumed on the error arm.
-        let src = "\
-fn commit(w: &mut Wal) -> Result<u64, E> {
-    let mark = w.mark();
-    let off = w.append_commit(1, body)?;
-    if policy.should_sync() {
-        w.sync()?;
-    }
-    if validation_failed {
-        if w.rollback_to(mark).is_err() {
-            poison();
-        }
-    }
-    Ok(off)
-}
-";
-        let (active, _) = run("wal-append-paired", src);
-        assert!(active.is_empty(), "{active:?}");
-    }
-
-    #[test]
-    fn wal_append_paired_flags_bare_append() {
-        let src = "fn bad(w: &mut Wal) {\n    w.append_commit(1, body);\n}\n";
-        let (active, _) = run("wal-append-paired", src);
-        // no mark, no sync, no rollback, result dropped
-        assert_eq!(active.len(), 4, "{active:?}");
-        assert!(active.iter().all(|d| d.line == 2));
-    }
-
-    #[test]
-    fn wal_append_paired_flags_dropped_mark() {
-        let src = "\
-fn sloppy(w: &mut Wal, mark: WalMark) -> Result<(), E> {
-    w.mark();
-    let _off = w.append_commit(1, body)?;
-    w.sync()?;
-    w.rollback_to(mark)?;
-    Ok(())
-}
-";
-        let (active, _) = run("wal-append-paired", src);
-        assert_eq!(active.len(), 1, "{active:?}");
-        assert_eq!(active[0].line, 2);
-        assert!(active[0].message.contains("dropped"));
-    }
-
-    #[test]
-    fn wal_append_paired_ignores_tests_and_appendless_fns() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t(w: &mut Wal) { w.append_commit(1, b); }
-}
-fn unrelated(w: &Wal) { w.mark(); }
-";
-        let (active, _) = run("wal-append-paired", src);
-        assert!(active.is_empty(), "{active:?}");
     }
 
     #[test]

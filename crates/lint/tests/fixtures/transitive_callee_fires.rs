@@ -1,7 +1,7 @@
 //! Fixture: hot-path callees with planted violations, reached only through
 //! the call-graph closure from `transitive_entry.rs` — the cross-file proof
-//! that `hot-path-no-panic`, `hot-path-no-alloc`, and `io-no-unwrap`
-//! follow entry points into other files. Excluded from the tree-wide scan.
+//! that `hot-path-no-panic` and `hot-path-no-alloc` follow entry points
+//! (plain and `Wal::*`-qualified) into other files. Not in the tree scan.
 #![allow(dead_code)]
 
 pub fn min_dist_sq(r: &Rect, p: &Point) -> f64 {

@@ -15,6 +15,6 @@ pub fn stage_candidates(d: f64, out: &mut Vec<u64>) {
 }
 
 pub fn flush_meta() -> io::Result<()> {
-    std::fs::metadata("wal").unwrap(); // pv-lint: allow(io-no-unwrap, reason = "fixture: metadata of a file this fn just created cannot race")
+    std::fs::metadata("wal").unwrap(); // pv-lint: allow(hot-path-no-panic, reason = "fixture: metadata of a file this fn just created cannot race")
     Ok(())
 }

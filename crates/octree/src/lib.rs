@@ -1055,12 +1055,16 @@ pub fn encode_leaf_record(id: u64, rect: &HyperRect) -> Vec<u8> {
 }
 
 /// Decodes a record produced by [`encode_leaf_record`].
-pub fn decode_leaf_record(rec: &[u8], dim: usize) -> (u64, HyperRect) {
+///
+/// # Errors
+/// [`codec::DecodeError::Truncated`] when `rec` is shorter than a
+/// `dim`-dimensional record.
+pub fn decode_leaf_record(rec: &[u8], dim: usize) -> Result<(u64, HyperRect), codec::DecodeError> {
     let mut r = codec::Reader::new(rec);
-    let id = r.u64();
-    let lo: Vec<f64> = (0..dim).map(|_| r.f64()).collect();
-    let hi: Vec<f64> = (0..dim).map(|_| r.f64()).collect();
-    (id, HyperRect::new(lo, hi))
+    let id = r.try_u64()?;
+    let lo = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
+    let hi = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
+    Ok((id, HyperRect::new(lo, hi)))
 }
 
 /// Reads a leaf record's id plus the squared min/max distance between its
@@ -1189,7 +1193,7 @@ mod tests {
             let got: std::collections::HashSet<u64> = tree
                 .point_query(&q)
                 .iter()
-                .map(|r| decode_leaf_record(r, 2).0)
+                .map(|r| decode_leaf_record(r, 2).unwrap().0)
                 .collect();
             // every object whose UBR contains q must be present
             for (id, ubr) in &objs {
@@ -1275,7 +1279,10 @@ mod tests {
         for _ in 0..40 {
             let q = Point::new(vec![rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]);
             let ids = |recs: Vec<Vec<u8>>| {
-                let mut v: Vec<u64> = recs.iter().map(|r| decode_leaf_record(r, 2).0).collect();
+                let mut v: Vec<u64> = recs
+                    .iter()
+                    .map(|r| decode_leaf_record(r, 2).unwrap().0)
+                    .collect();
                 v.sort_unstable();
                 v
             };
@@ -1343,7 +1350,7 @@ mod tests {
         let hits = tree.range_query(&HyperRect::new(vec![0.0, 0.0], vec![100.0, 100.0]));
         let ones = hits
             .iter()
-            .filter(|r| decode_leaf_record(r, 2).0 == 1)
+            .filter(|r| decode_leaf_record(r, 2).unwrap().0 == 1)
             .count();
         assert_eq!(ones, 1, "big object must be reported once");
     }
@@ -1360,7 +1367,7 @@ mod tests {
         let got: Vec<u64> = tree
             .point_query(&probe)
             .iter()
-            .map(|r| decode_leaf_record(r, 2).0)
+            .map(|r| decode_leaf_record(r, 2).unwrap().0)
             .collect();
         assert!(!got.contains(&id));
         // total records decreased by exactly `removed`
@@ -1400,7 +1407,7 @@ mod tests {
         let got: Vec<u64> = tree
             .point_query(&q)
             .iter()
-            .map(|r| decode_leaf_record(r, 2).0)
+            .map(|r| decode_leaf_record(r, 2).unwrap().0)
             .collect();
         assert!(got.contains(&id));
     }
@@ -1430,14 +1437,14 @@ mod tests {
         let got: Vec<u64> = tree
             .point_query(&Point::new(vec![15.0, 15.0]))
             .iter()
-            .map(|r| decode_leaf_record(r, 2).0)
+            .map(|r| decode_leaf_record(r, 2).unwrap().0)
             .collect();
         assert!(got.contains(&id), "must remain in kept region");
         // …gone far outside it
         let got: Vec<u64> = tree
             .point_query(&Point::new(vec![55.0, 55.0]))
             .iter()
-            .map(|r| decode_leaf_record(r, 2).0)
+            .map(|r| decode_leaf_record(r, 2).unwrap().0)
             .collect();
         assert!(!got.contains(&id), "must be gone from dropped region");
     }
@@ -1446,7 +1453,7 @@ mod tests {
     fn record_codec_roundtrip() {
         let r = HyperRect::new(vec![1.5, -2.0, 3.0], vec![4.0, 5.0, 6.5]);
         let rec = encode_leaf_record(42, &r);
-        let (id, back) = decode_leaf_record(&rec, 3);
+        let (id, back) = decode_leaf_record(&rec, 3).unwrap();
         assert_eq!(id, 42);
         assert_eq!(back, r);
     }
@@ -1472,7 +1479,7 @@ mod tests {
         let got: std::collections::HashSet<u64> = tree
             .point_query(&q)
             .iter()
-            .map(|r| decode_leaf_record(r, 3).0)
+            .map(|r| decode_leaf_record(r, 3).unwrap().0)
             .collect();
         for (id, ubr) in &objs {
             if ubr.contains_point(&q) {
@@ -1539,13 +1546,13 @@ mod tests {
         let orig_ids: Vec<u64> = tree
             .point_query(&probe)
             .iter()
-            .map(|r| decode_leaf_record(r, 2).0)
+            .map(|r| decode_leaf_record(r, 2).unwrap().0)
             .collect();
         assert!(orig_ids.contains(&gone_id), "original must keep the object");
         let fork_ids: Vec<u64> = fork
             .point_query(&probe)
             .iter()
-            .map(|r| decode_leaf_record(r, 2).0)
+            .map(|r| decode_leaf_record(r, 2).unwrap().0)
             .collect();
         assert!(!fork_ids.contains(&gone_id), "fork must have removed it");
 

@@ -61,7 +61,7 @@ proptest! {
                     let got: HashSet<u64> = tree
                         .point_query(&q)
                         .iter()
-                        .map(|r| decode_leaf_record(r, 2).0)
+                        .map(|r| decode_leaf_record(r, 2).unwrap().0)
                         .collect();
                     // completeness: every object whose UBR contains q is found
                     for (id, ubr) in &shadow {

@@ -626,19 +626,6 @@ impl RTree {
         tree
     }
 
-    /// Iterates over all entries (test / debugging helper).
-    pub fn iter_entries(&self) -> Vec<Entry> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            match &self.node(n).kind {
-                NodeKind::Leaf(v) => out.extend(v.iter().cloned()),
-                NodeKind::Internal(v) => stack.extend(v.iter().map(|c| c.node)),
-            }
-        }
-        out
-    }
-
     /// Validates structural invariants; used by tests.
     pub fn check_invariants(&self) {
         let mut seen = 0usize;

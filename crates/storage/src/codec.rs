@@ -4,6 +4,12 @@
 //! values, secondary-index payloads) are encoded with these helpers so that
 //! page space accounting is exact and platform-independent.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 /// Error produced when decoding an on-page record fails.
 ///
 /// Records written by this workspace always decode cleanly; these errors
@@ -119,6 +125,10 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
 /// layout is already broken — truncating it silently (what a bare `as u32`
 /// would do) corrupts the page in a way only decode-time checksums might
 /// catch, so the encoder fails loudly instead.
+#[expect(
+    clippy::expect_used,
+    reason = "documented encode-boundary panic: a count past the u32 prefix is a caller bug"
+)]
 pub fn put_u32_len(out: &mut Vec<u8>, v: usize) {
     let v = u32::try_from(v).expect("count exceeds the u32 on-page prefix");
     out.extend_from_slice(&v.to_le_bytes());
@@ -128,6 +138,10 @@ pub fn put_u32_len(out: &mut Vec<u8>, v: usize) {
 ///
 /// # Panics
 /// If `v` exceeds `u16::MAX` — same rationale as [`put_u32_len`].
+#[expect(
+    clippy::expect_used,
+    reason = "documented encode-boundary panic: a count past the u16 prefix is a caller bug"
+)]
 pub fn put_u16_len(out: &mut Vec<u8>, v: usize) {
     let v = u16::try_from(v).expect("count exceeds the u16 on-page prefix");
     out.extend_from_slice(&v.to_le_bytes());
@@ -139,15 +153,9 @@ pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     out.extend_from_slice(v);
 }
 
-/// Serialises a slice of f64 with a u16 length prefix.
-pub fn put_f64_slice(out: &mut Vec<u8>, v: &[f64]) {
-    put_u16_len(out, v.len());
-    for &x in v {
-        put_f64(out, x);
-    }
-}
-
-/// Cursor-style decoder over a byte slice.
+/// Cursor-style decoder over a byte slice. Every read is checked: running
+/// out of bytes is a [`DecodeError::Truncated`] that leaves the cursor
+/// where it was.
 pub struct Reader<'a> {
     buf: &'a [u8],
 }
@@ -171,47 +179,64 @@ impl<'a> Reader<'a> {
         self.buf.len()
     }
 
-    /// Consumes and returns the next `n` bytes.
-    fn split(&mut self, n: usize) -> &'a [u8] {
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        head
+    /// The error for a read of `needed` bytes past what remains.
+    fn truncated(&self, needed: usize) -> DecodeError {
+        DecodeError::Truncated {
+            needed,
+            remaining: self.buf.len(),
+        }
     }
 
-    /// Checked variant of [`Reader::split`].
+    /// Consumes and returns the next `n` bytes, or reports truncation.
     fn try_split(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() < n {
-            return Err(DecodeError::Truncated {
-                needed: n,
-                remaining: self.buf.len(),
-            });
-        }
-        Ok(self.split(n))
+        let (head, rest) = self
+            .buf
+            .split_at_checked(n)
+            .ok_or_else(|| self.truncated(n))?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// Consumes the next `N` bytes as an array, or reports truncation.
+    fn try_chunk<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated(N))?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     /// Reads a `u8`, or reports truncation.
     pub fn try_u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.try_split(1)?[0])
+        self.try_chunk().map(u8::from_le_bytes)
     }
 
     /// Reads a `u64`, or reports truncation.
     pub fn try_u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.try_split(8)?.try_into().unwrap()))
+        self.try_chunk().map(u64::from_le_bytes)
     }
 
     /// Reads a `u32`, or reports truncation.
     pub fn try_u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.try_split(4)?.try_into().unwrap()))
+        self.try_chunk().map(u32::from_le_bytes)
     }
 
     /// Reads a `u16`, or reports truncation.
     pub fn try_u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.try_split(2)?.try_into().unwrap()))
+        self.try_chunk().map(u16::from_le_bytes)
+    }
+
+    /// Reads a `u64` count or size as a `usize`, or reports truncation. A
+    /// value this platform cannot address is [`DecodeError::Invalid`], with
+    /// `context` naming the field.
+    pub fn try_usize(&mut self, context: &'static str) -> Result<usize, DecodeError> {
+        usize::try_from(self.try_u64()?).map_err(|_| DecodeError::Invalid { context })
     }
 
     /// Reads an `f64`, or reports truncation.
     pub fn try_f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(self.try_split(8)?.try_into().unwrap()))
+        self.try_chunk().map(f64::from_le_bytes)
     }
 
     /// Takes exactly `n` raw bytes, or reports truncation.
@@ -231,47 +256,6 @@ impl<'a> Reader<'a> {
         let n = self.try_u32()? as usize;
         self.try_take(n)
     }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.split(8).try_into().unwrap())
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.split(4).try_into().unwrap())
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.split(2).try_into().unwrap())
-    }
-
-    /// Reads an `f64`.
-    pub fn f64(&mut self) -> f64 {
-        f64::from_le_bytes(self.split(8).try_into().unwrap())
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Vec<u8> {
-        let n = self.u32() as usize;
-        self.split(n).to_vec()
-    }
-
-    /// Reads a u16-length-prefixed f64 slice.
-    pub fn f64_slice(&mut self) -> Vec<f64> {
-        let n = self.u16() as usize;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// Takes exactly `n` raw bytes.
-    ///
-    /// # Panics
-    /// If fewer than `n` bytes remain (check [`Reader::remaining`] first
-    /// when parsing untrusted input).
-    pub fn take(&mut self, n: usize) -> Vec<u8> {
-        self.split(n).to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -285,11 +269,13 @@ mod tests {
         put_u32(&mut out, 77);
         put_u16(&mut out, 513);
         put_f64(&mut out, -1234.5);
+        put_u8(&mut out, 9);
         let mut r = Reader::new(&out);
-        assert_eq!(r.u64(), 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(r.u32(), 77);
-        assert_eq!(r.u16(), 513);
-        assert_eq!(r.f64(), -1234.5);
+        assert_eq!(r.try_u64(), Ok(0xDEAD_BEEF_CAFE_F00D));
+        assert_eq!(r.try_u32(), Ok(77));
+        assert_eq!(r.try_u16(), Ok(513));
+        assert_eq!(r.try_f64(), Ok(-1234.5));
+        assert_eq!(r.try_u8(), Ok(9));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -297,10 +283,15 @@ mod tests {
     fn roundtrip_composites() {
         let mut out = Vec::new();
         put_bytes(&mut out, b"hello pages");
-        put_f64_slice(&mut out, &[1.0, 2.5, -3.0]);
+        put_u16_len(&mut out, 3);
+        put_u32_len(&mut out, 70_000);
+        out.extend_from_slice(b"raw");
         let mut r = Reader::new(&out);
-        assert_eq!(r.bytes(), b"hello pages");
-        assert_eq!(r.f64_slice(), vec![1.0, 2.5, -3.0]);
+        assert_eq!(r.try_bytes().as_deref(), Ok(&b"hello pages"[..]));
+        assert_eq!(r.try_u16(), Ok(3));
+        assert_eq!(r.try_u32(), Ok(70_000));
+        assert_eq!(r.try_borrow(3), Ok(&b"raw"[..]));
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -347,9 +338,9 @@ mod tests {
     fn empty_composites() {
         let mut out = Vec::new();
         put_bytes(&mut out, b"");
-        put_f64_slice(&mut out, &[]);
         let mut r = Reader::new(&out);
-        assert!(r.bytes().is_empty());
-        assert!(r.f64_slice().is_empty());
+        assert_eq!(r.try_bytes(), Ok(Vec::new()));
+        assert_eq!(r.try_take(0), Ok(Vec::new()));
+        assert_eq!(r.remaining(), 0);
     }
 }

@@ -19,6 +19,13 @@ use crate::pager::{PageId, Pager};
 const HDR: usize = 8 + 2; // next pointer + used counter
 const REC_HDR: usize = 2; // per-record length prefix
 
+/// The next-page link opening a chain page's header. A page too short to
+/// hold one (no writer produces it) ends the chain.
+fn next_link(page: &[u8]) -> PageId {
+    page.first_chunk()
+        .map_or(PageId::NULL, |b| PageId(u64::from_le_bytes(*b)))
+}
+
 /// Aggregate information about a [`PageList`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageListStats {
@@ -175,7 +182,7 @@ impl PageList {
         let mut cur = self.head;
         while !cur.is_null() {
             let page = pager.read(cur);
-            let next = PageId(u64::from_le_bytes(page[0..8].try_into().unwrap()));
+            let next = next_link(&page);
             let used = u16::from_le_bytes([page[8], page[9]]) as usize;
             let mut off = HDR;
             while off < HDR + used {
@@ -202,7 +209,7 @@ impl PageList {
         while !cur.is_null() {
             pager.read_into(cur, page_buf);
             let page = &page_buf[..];
-            let next = PageId(u64::from_le_bytes(page[0..8].try_into().unwrap()));
+            let next = next_link(page);
             let used = u16::from_le_bytes([page[8], page[9]]) as usize;
             let mut off = HDR;
             while off < HDR + used {
@@ -234,7 +241,7 @@ impl PageList {
         let mut cur = self.head;
         while !cur.is_null() {
             let page = pager.read(cur);
-            let next = PageId(u64::from_le_bytes(page[0..8].try_into().unwrap()));
+            let next = next_link(&page);
             pager.free(cur);
             cur = next;
         }
@@ -247,7 +254,7 @@ impl PageList {
         let mut cur = self.head;
         while !cur.is_null() {
             let page = pager.read(cur);
-            let next = PageId(u64::from_le_bytes(page[0..8].try_into().unwrap()));
+            let next = next_link(&page);
             let used = u16::from_le_bytes([page[8], page[9]]) as usize;
             st.pages += 1;
             st.used_bytes += used;

@@ -307,6 +307,10 @@ impl Pager for MemPager {
         buf.extend_from_slice(page);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is THE designated dirty-copy helper: MemPager::write owns the get_mut fast path / Arc::from copy slow path that every other page mutation in the workspace must route through"
+    )]
     fn write(&self, id: PageId, data: &[u8]) {
         assert_eq!(data.len(), self.inner.page_size, "partial page write");
         self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
@@ -316,7 +320,6 @@ impl Pager for MemPager {
             .get_mut(id.0 as usize)
             .unwrap_or_else(|| panic!("write of unallocated page {id:?}"));
         match slot {
-            // pv-lint: allow(cow-discipline, reason = "this is THE designated dirty-copy helper: MemPager::write owns the get_mut fast path / Arc::from copy slow path that every other page mutation in the workspace must route through")
             Some(p) => match Arc::get_mut(p) {
                 // Uniquely owned: overwrite in place.
                 Some(bytes) => bytes.copy_from_slice(data),

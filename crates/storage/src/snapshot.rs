@@ -34,6 +34,12 @@
 //! assert!(open_snapshot(&bad, *b"DEMO", "demo snapshot", 1).is_err());
 //! ```
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::codec::{self, DecodeError};
 
 /// Leading bytes shared by every snapshot envelope.
@@ -111,21 +117,22 @@ pub fn open_snapshot<'a>(
     context: &'static str,
     supported_version: u16,
 ) -> Result<(codec::Reader<'a>, u16), DecodeError> {
-    if buf.len() < HEADER_LEN + CHECKSUM_LEN {
+    let Some((body, stored)) = buf
+        .split_last_chunk::<CHECKSUM_LEN>()
+        .filter(|(body, _)| body.len() >= HEADER_LEN)
+    else {
         return Err(DecodeError::Truncated {
             needed: HEADER_LEN + CHECKSUM_LEN,
             remaining: buf.len(),
         });
-    }
-    if buf[0..4] != SNAPSHOT_MAGIC || buf[4..8] != kind {
+    };
+    if body[0..4] != SNAPSHOT_MAGIC || body[4..8] != kind {
         return Err(DecodeError::BadMagic { context });
     }
-    let body_end = buf.len() - CHECKSUM_LEN;
-    let stored = u64::from_le_bytes(buf[body_end..].try_into().unwrap());
-    if fnv1a64(&buf[..body_end]) != stored {
+    if fnv1a64(body) != u64::from_le_bytes(*stored) {
         return Err(DecodeError::ChecksumMismatch { context });
     }
-    let version = u16::from_le_bytes([buf[8], buf[9]]);
+    let version = u16::from_le_bytes([body[8], body[9]]);
     if version == 0 || version > supported_version {
         return Err(DecodeError::UnsupportedVersion {
             context,
@@ -133,7 +140,7 @@ pub fn open_snapshot<'a>(
             supported: supported_version,
         });
     }
-    Ok((codec::Reader::new(&buf[HEADER_LEN..body_end]), version))
+    Ok((codec::Reader::new(&body[HEADER_LEN..]), version))
 }
 
 #[cfg(test)]
@@ -153,7 +160,7 @@ mod tests {
         let (mut r, version) = open_snapshot(&bytes, *b"TEST", "test snapshot", 3).unwrap();
         assert_eq!(version, 3);
         assert_eq!(r.try_u32(), Ok(0xDEAD_BEEF));
-        assert_eq!(r.bytes(), b"payload");
+        assert_eq!(r.try_bytes().as_deref(), Ok(&b"payload"[..]));
         assert_eq!(r.remaining(), 0);
     }
 

@@ -1,11 +1,11 @@
 //! A length-prefixed, checksummed write-ahead commit log.
 //!
 //! The WAL makes `Db` commits durable: before a successor snapshot is
-//! published, the batch of operations that produced it is appended here and
-//! (per the caller's sync policy) fsynced. After a crash, recovery loads
-//! the last rotated snapshot and replays the log's surviving suffix — see
-//! `pv-core`'s `DurableDb` for the commit/recovery protocol and
-//! ARCHITECTURE.md §3d for the on-disk format rationale.
+//! published, the batch of operations that produced it goes through
+//! [`Wal::commit`] — appended and fsynced, or rolled back. After a crash,
+//! recovery loads the last rotated snapshot and replays the log's
+//! surviving suffix — see `pv-core`'s `DurableDb` for the commit/recovery
+//! protocol and ARCHITECTURE.md §3d for the on-disk format rationale.
 //!
 //! # On-disk format
 //!
@@ -99,6 +99,10 @@ pub enum WalError {
         /// The format's per-record limit ([`MAX_BODY_LEN`]).
         max: u32,
     },
+    /// An earlier [`Wal::commit`] failed and could not be rolled back, so
+    /// the file may hold bytes the log's bookkeeping does not know about.
+    /// The log refuses every further commit; reopen it to recover.
+    Poisoned,
 }
 
 impl std::fmt::Display for WalError {
@@ -118,6 +122,10 @@ impl std::fmt::Display for WalError {
                 f,
                 "WAL record body of {len} bytes exceeds the {max}-byte format limit"
             ),
+            WalError::Poisoned => write!(
+                f,
+                "WAL poisoned by a commit that could not be rolled back; reopen it"
+            ),
         }
     }
 }
@@ -128,7 +136,7 @@ impl std::error::Error for WalError {
             WalError::Io(e) => Some(e),
             WalError::NotALog(e) => Some(e),
             WalError::Corrupt { source, .. } => Some(source),
-            WalError::TooLarge { .. } => None,
+            WalError::TooLarge { .. } | WalError::Poisoned => None,
         }
     }
 }
@@ -172,7 +180,7 @@ pub struct WalReplay {
 /// A restore point captured by [`Wal::mark`] before a speculative append,
 /// consumed by [`Wal::rollback_to`].
 #[derive(Debug, Clone, Copy)]
-pub struct WalMark {
+struct WalMark {
     len: u64,
     commits: u64,
     last_version: u64,
@@ -195,8 +203,8 @@ pub struct Wal {
     commits: u64,
     /// Version of the newest commit record in the log (0 when none).
     last_version: u64,
-    /// Version covered by the newest fsync-point marker.
-    synced_version: u64,
+    /// Set when a failed [`Wal::commit`] could not be rolled back.
+    poisoned: bool,
 }
 
 fn encode_record(kind: u8, version: u64, body: &[u8]) -> Vec<u8> {
@@ -231,7 +239,7 @@ impl Wal {
             len: WAL_HEADER_LEN,
             commits: 0,
             last_version: 0,
-            synced_version: 0,
+            poisoned: false,
         })
     }
 
@@ -276,13 +284,15 @@ impl Wal {
         };
         while o < data.len() {
             let rem = data.len() - o;
-            if rem < REC_HEADER_LEN {
+            // An incomplete header is a torn tail.
+            let Some((covered, stored_h)) = data[o..]
+                .split_first_chunk::<16>()
+                .and_then(|(covered, r)| Some((covered, r.first_chunk::<8>()?)))
+            else {
                 torn_tail = Some((o, rem));
                 break;
-            }
-            let header = &data[o..o + REC_HEADER_LEN];
-            let stored_h = u64::from_le_bytes(header[16..24].try_into().unwrap());
-            if fnv1a64(&header[..16]) != stored_h {
+            };
+            if fnv1a64(covered) != u64::from_le_bytes(*stored_h) {
                 return Err(corrupt(
                     o,
                     last_version,
@@ -291,9 +301,9 @@ impl Wal {
                     },
                 ));
             }
-            let body_len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-            let kind = header[4];
-            if header[5..8] != [0, 0, 0] {
+            let [l0, l1, l2, l3, kind, p0, p1, p2, version @ ..] = *covered;
+            let body_len = u32::from_le_bytes([l0, l1, l2, l3]);
+            if [p0, p1, p2] != [0, 0, 0] {
                 return Err(corrupt(
                     o,
                     last_version,
@@ -311,21 +321,18 @@ impl Wal {
                     },
                 ));
             }
-            let version = u64::from_le_bytes(header[8..16].try_into().unwrap());
+            let version = u64::from_le_bytes(version);
             let need = REC_HEADER_LEN + body_len as usize + REC_TRAILER_LEN;
-            if rem < need {
+            let Some((body, stored_b)) = data[o + REC_HEADER_LEN..]
+                .split_at_checked(body_len as usize)
+                .and_then(|(body, r)| Some((body, r.first_chunk::<REC_TRAILER_LEN>()?)))
+            else {
                 // Valid header, incomplete body: the record was being
                 // appended when the crash hit.
                 torn_tail = Some((o, rem));
                 break;
-            }
-            let body = &data[o + REC_HEADER_LEN..o + REC_HEADER_LEN + body_len as usize];
-            let stored_b = u64::from_le_bytes(
-                data[o + need - REC_TRAILER_LEN..o + need]
-                    .try_into()
-                    .unwrap(),
-            );
-            if fnv1a64(body) != stored_b {
+            };
+            if fnv1a64(body) != u64::from_le_bytes(*stored_b) {
                 return Err(corrupt(
                     o,
                     last_version,
@@ -397,7 +404,7 @@ impl Wal {
                 len,
                 commits: records.len() as u64,
                 last_version,
-                synced_version,
+                poisoned: false,
             },
             WalReplay {
                 records,
@@ -407,11 +414,48 @@ impl Wal {
         ))
     }
 
-    /// Appends one commit record. `version` must exceed every version
+    /// Commits one record under the acknowledged⟺logged protocol: appends
+    /// it, then [`sync`](Wal::sync)s, so `Ok` means the record survives any
+    /// crash. `version` must exceed every version already in the log.
+    ///
+    /// On failure the log is rolled back to its state before the call —
+    /// durably, so no replay can apply the failed record and the next
+    /// commit may reuse `version` — and the file's length is checked
+    /// against the log's bookkeeping. If either step fails, bytes the caller
+    /// was told did not commit may still be on disk: the log is poisoned
+    /// and refuses every later commit with [`WalError::Poisoned`] (reopen
+    /// to recover).
+    pub fn commit(&mut self, version: u64, body: &[u8]) -> Result<(), WalError> {
+        if self.poisoned {
+            return Err(WalError::Poisoned);
+        }
+        let mark = self.mark();
+        let Err(e) = self.append_commit(version, body).and_then(|()| self.sync()) else {
+            return Ok(());
+        };
+        // The record reached the log and a later step (the fsync-marker
+        // append or the fsync itself) failed: undo it durably.
+        let rolled_back = self.last_version != version || self.rollback_to(mark).is_ok();
+        // A failed append truncates its partial bytes away internally;
+        // check that every rollback reached the disk.
+        let (fs, path) = (&self.fs, &self.path);
+        if !rolled_back || self.retry.run(|| fs.len(path)).ok() != Some(self.len) {
+            self.poisoned = true;
+        }
+        Err(e)
+    }
+
+    /// True when a failed [`Wal::commit`] could not be rolled back; the log
+    /// then refuses every further commit.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned
+    }
+
+    /// Appends one commit record without syncing it — [`Wal::commit`] is
+    /// the acknowledged⟺logged path. `version` must exceed every version
     /// already in the log. On failure the partial append is truncated away
-    /// before returning, so the in-memory and on-disk states agree; if even
-    /// that truncation fails, the error is returned and the log must be
-    /// considered poisoned (reopen to recover).
+    /// before returning (best effort), so the in-memory and on-disk states
+    /// agree.
     pub fn append_commit(&mut self, version: u64, body: &[u8]) -> Result<(), WalError> {
         assert!(
             version > self.last_version,
@@ -433,13 +477,12 @@ impl Wal {
 
     /// Appends an fsync-point marker for everything in the log and forces
     /// it all to stable storage. After `Ok`, every commit appended so far
-    /// is durable ([`Wal::synced_version`] advances to the newest one).
+    /// is durable.
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.append_record(&encode_record(KIND_SYNC_MARKER, self.last_version, &[]))?;
         let fs = &self.fs;
         let path = &self.path;
         self.retry.run(|| fs.sync(path))?;
-        self.synced_version = self.last_version;
         Ok(())
     }
 
@@ -480,7 +523,7 @@ impl Wal {
 
     /// Captures the log's current logical state as a restore point for
     /// [`Wal::rollback_to`].
-    pub fn mark(&self) -> WalMark {
+    fn mark(&self) -> WalMark {
         WalMark {
             len: self.len,
             commits: self.commits,
@@ -494,9 +537,9 @@ impl Wal {
     /// was already fully appended. After `Ok`, no replay can ever see the
     /// discarded records and the version bookkeeping is back at the mark,
     /// so the next commit may reuse the rolled-back version. On `Err` the
-    /// discarded bytes may still reach a future replay: the caller must
-    /// treat the log as poisoned and refuse further writes.
-    pub fn rollback_to(&mut self, mark: WalMark) -> Result<(), WalError> {
+    /// discarded bytes may still reach a future replay, which is why
+    /// [`Wal::commit`] then poisons the log.
+    fn rollback_to(&mut self, mark: WalMark) -> Result<(), WalError> {
         debug_assert!(mark.len <= self.len, "a mark never points past the log");
         let fs = &self.fs;
         let path = &self.path;
@@ -523,7 +566,6 @@ impl Wal {
         self.fs.sync(&self.path)?;
         self.len = WAL_HEADER_LEN;
         self.commits = 0;
-        self.synced_version = self.last_version;
         Ok(())
     }
 
@@ -541,21 +583,12 @@ impl Wal {
     pub fn last_version(&self) -> u64 {
         self.last_version
     }
-
-    /// Highest version guaranteed durable by an fsync-point marker.
-    pub fn synced_version(&self) -> u64 {
-        self.synced_version
-    }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultFs, FaultKind, FaultPlan, ScheduledFault};
     use crate::fsio::StdFs;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -578,7 +611,6 @@ mod tests {
         wal.sync().unwrap();
         wal.append_commit(3, b"third (unsynced)").unwrap();
         assert_eq!(wal.commits(), 3);
-        assert_eq!(wal.synced_version(), 2);
 
         let (reopened, replay) = Wal::open(fs(), &path, RetryPolicy::none()).unwrap();
         assert_eq!(replay.records.len(), 3);
@@ -718,6 +750,68 @@ mod tests {
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[1].body, b"retried");
         assert!(replay.torn_tail.is_none());
+    }
+
+    /// A log over a [`FaultFs`] with one commit (version 1) already in it.
+    fn faulty_log(tag: &str) -> (PathBuf, Arc<FaultFs<StdFs>>, Wal) {
+        let path = tmp(tag);
+        let faults = Arc::new(FaultFs::new(StdFs, FaultPlan::none()));
+        let mut wal = Wal::create(
+            Arc::clone(&faults) as Arc<dyn Fs>,
+            &path,
+            RetryPolicy::none(),
+        )
+        .unwrap();
+        wal.commit(1, b"kept").unwrap();
+        (path, faults, wal)
+    }
+
+    #[test]
+    fn commit_rolls_a_failed_fsync_back() {
+        let (path, faults, mut wal) = faulty_log("commit_fsync");
+        let before = StdFs.len(&path).unwrap();
+        // A commit's op sequence is: len, append (commit record), len,
+        // append (sync marker), sync. Fail the sync itself.
+        faults.set_plan(FaultPlan::single(faults.ops() + 4, FaultKind::NoSpace));
+        assert!(matches!(wal.commit(2, b"lost"), Err(WalError::Io(_))));
+        assert!(!wal.is_poisoned(), "the rollback succeeded");
+        assert_eq!(StdFs.len(&path).unwrap(), before, "record truncated away");
+        assert_eq!((wal.bytes(), wal.last_version()), (before, 1));
+
+        // The failed version is free again, and replay never sees the
+        // rolled-back record.
+        wal.commit(2, b"retried").unwrap();
+        let (_, replay) = Wal::open(fs(), &path, RetryPolicy::none()).unwrap();
+        assert_eq!(replay.records.len(), 2);
+        assert_eq!(replay.records[1].body, b"retried");
+        assert_eq!(replay.synced_version, 2);
+    }
+
+    #[test]
+    fn failed_rollback_poisons_and_refuses_later_commits() {
+        let (path, faults, mut wal) = faulty_log("commit_poison");
+        // Fail the fsync (op +4), then the rollback's truncate (op +6: the
+        // rollback runs len, truncate, sync): the unacknowledged record
+        // stays on disk.
+        let next = faults.ops();
+        faults.set_plan(FaultPlan::new(vec![
+            ScheduledFault {
+                op: next + 4,
+                kind: FaultKind::NoSpace,
+            },
+            ScheduledFault {
+                op: next + 6,
+                kind: FaultKind::FailOnce,
+            },
+        ]));
+        assert!(matches!(wal.commit(2, b"stuck"), Err(WalError::Io(_))));
+        assert!(wal.is_poisoned());
+
+        // A poisoned log refuses without a single file operation.
+        let (ops, len) = (faults.ops(), StdFs.len(&path).unwrap());
+        assert!(matches!(wal.commit(3, b"refused"), Err(WalError::Poisoned)));
+        assert_eq!(faults.ops(), ops, "no file operation after poisoning");
+        assert_eq!(StdFs.len(&path).unwrap(), len);
     }
 
     #[test]

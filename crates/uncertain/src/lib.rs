@@ -307,17 +307,9 @@ impl UncertainObject {
         out
     }
 
-    /// Decodes an object serialised with [`UncertainObject::encode`].
-    ///
-    /// # Panics
-    /// On a corrupted buffer; use [`UncertainObject::try_decode`] to handle
-    /// corruption as an error instead.
-    pub fn decode(buf: &[u8]) -> Self {
-        Self::try_decode(buf).expect("corrupted uncertain-object record")
-    }
-
-    /// Checked variant of [`UncertainObject::decode`]: reports truncation and
-    /// unknown pdf tags through the codec layer instead of panicking.
+    /// Decodes an object serialised with [`UncertainObject::encode`],
+    /// reporting truncation, unknown pdf tags and inverted region corners
+    /// through the codec layer instead of panicking.
     pub fn try_decode(buf: &[u8]) -> Result<Self, codec::DecodeError> {
         let mut r = codec::Reader::new(buf);
         let id = r.try_u64()?;
@@ -327,6 +319,11 @@ impl UncertainObject {
         };
         let lo = read_coords(&mut r)?;
         let hi = read_coords(&mut r)?;
+        if !lo.iter().zip(&hi).all(|(l, h)| l <= h) {
+            return Err(codec::DecodeError::Invalid {
+                context: "uncertain-object region corners",
+            });
+        }
         let region = HyperRect::new(lo, hi);
         let pdf = match r.try_u16()? {
             0 => Pdf::Uniform {
@@ -539,16 +536,26 @@ impl UncertainDb {
     /// # Panics
     /// If an object's region is not fully inside the domain, or ids repeat.
     pub fn new(domain: HyperRect, objects: Vec<UncertainObject>) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        for o in &objects {
-            assert!(
-                domain.contains_rect(&o.region),
-                "object {} outside the domain",
-                o.id
-            );
-            assert!(seen.insert(o.id), "duplicate object id {}", o.id);
+        if let Some(why) = Self::rejects(&domain, &objects) {
+            panic!("{why}");
         }
         Self { domain, objects }
+    }
+
+    /// Why [`UncertainDb::new`] would reject `objects`: the first one whose
+    /// region is not inside `domain` (or has another dimensionality), or
+    /// whose id repeats.
+    pub(crate) fn rejects(domain: &HyperRect, objects: &[UncertainObject]) -> Option<String> {
+        let mut seen = std::collections::HashSet::new();
+        objects.iter().find_map(|o| {
+            if o.region.dim() != domain.dim() || !domain.contains_rect(&o.region) {
+                Some(format!("object {} outside the domain", o.id))
+            } else if !seen.insert(o.id) {
+                Some(format!("duplicate object id {}", o.id))
+            } else {
+                None
+            }
+        })
     }
 
     /// Number of objects (`|S|`).
@@ -672,7 +679,7 @@ mod tests {
         ];
         for o in objs {
             let buf = o.encode();
-            let back = UncertainObject::decode(&buf);
+            let back = UncertainObject::try_decode(&buf).unwrap();
             assert_eq!(back, o);
         }
     }

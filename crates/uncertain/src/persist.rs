@@ -26,9 +26,15 @@
 //! assert!(persist::from_bytes(&bytes[..bytes.len() / 2]).is_err());
 //! ```
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::{UncertainDb, UncertainObject};
 use pv_geom::HyperRect;
-use pv_storage::codec;
+use pv_storage::codec::{self, DecodeError};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -55,7 +61,9 @@ pub fn to_bytes(db: &UncertainDb) -> Vec<u8> {
 /// Deserialises a database from bytes produced by [`to_bytes`].
 ///
 /// # Errors
-/// Returns `InvalidData` on a bad magic number or truncated payload.
+/// Returns `InvalidData` on a bad magic number, a truncated payload, a
+/// corrupted object record, or objects [`UncertainDb::new`] would reject
+/// (the [`codec::DecodeError`] is its source).
 pub fn from_bytes(buf: &[u8]) -> io::Result<UncertainDb> {
     if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
         return Err(io::Error::new(
@@ -64,34 +72,40 @@ pub fn from_bytes(buf: &[u8]) -> io::Result<UncertainDb> {
         ));
     }
     let body = &buf[MAGIC.len()..];
-    let parse = || -> Option<UncertainDb> {
+    let parse = || -> Result<UncertainDb, DecodeError> {
         let mut r = codec::Reader::new(body);
-        if r.remaining() < 2 {
-            return None;
+        let dim = usize::from(r.try_u16()?);
+        if dim == 0 || dim > 64 {
+            return Err(DecodeError::Invalid {
+                context: "dataset dimensionality",
+            });
         }
-        let dim = r.u16() as usize;
-        if dim == 0 || dim > 64 || r.remaining() < dim * 16 + 8 {
-            return None;
+        let lo = (0..dim)
+            .map(|_| r.try_f64())
+            .collect::<Result<Vec<_>, _>>()?;
+        let hi = (0..dim)
+            .map(|_| r.try_f64())
+            .collect::<Result<Vec<_>, _>>()?;
+        if !lo.iter().zip(&hi).all(|(l, h)| l <= h) {
+            return Err(DecodeError::Invalid {
+                context: "dataset domain corners",
+            });
         }
-        let lo: Vec<f64> = (0..dim).map(|_| r.f64()).collect();
-        let hi: Vec<f64> = (0..dim).map(|_| r.f64()).collect();
         let domain = HyperRect::new(lo, hi);
-        let n = r.u64() as usize;
+        let n = r.try_usize("dataset object count")?;
         let mut objects = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            if r.remaining() < 4 {
-                return None;
-            }
-            let len = r.u32() as usize;
-            if r.remaining() < len {
-                return None;
-            }
-            let rec = r.take(len);
-            objects.push(UncertainObject::decode(&rec));
+            let len = r.try_u32()? as usize;
+            objects.push(UncertainObject::try_decode(r.try_borrow(len)?)?);
         }
-        Some(UncertainDb::new(domain, objects))
+        if UncertainDb::rejects(&domain, &objects).is_some() {
+            return Err(DecodeError::Invalid {
+                context: "dataset object (outside the domain, or a repeated id)",
+            });
+        }
+        Ok(UncertainDb::new(domain, objects))
     };
-    parse().ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated database file"))
+    parse().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Writes a database to a file.
@@ -168,6 +182,30 @@ mod tests {
         let bytes = to_bytes(&db);
         for cut in [MAGIC.len() + 1, bytes.len() / 2, bytes.len() - 3] {
             assert!(from_bytes(&bytes[..cut]).is_err(), "cut at {cut} must fail");
+        }
+    }
+
+    #[test]
+    fn corrupt_object_record_is_invalid_data() {
+        let good = to_bytes(&sample_db());
+        // The first object's record follows the file header and its u32
+        // length prefix: id u64, dimensionality u16, lo and hi corners,
+        // then the pdf tag u16.
+        let id_at = MAGIC.len() + 2 + 2 * 2 * 8 + 8 + 4;
+        let lo_x = id_at + 8 + 2;
+        let tag_at = lo_x + 2 * 2 * 8;
+        assert_eq!(good[tag_at..tag_at + 2], [0, 0], "uniform pdf tag");
+        for (at, patch, what) in [
+            (tag_at, 0xEEEEu16.to_le_bytes().to_vec(), "61166"),
+            (id_at, 2u64.to_le_bytes().to_vec(), "repeated id"),
+            (lo_x, (-5.0f64).to_le_bytes().to_vec(), "outside the domain"),
+            (lo_x, 50.0f64.to_le_bytes().to_vec(), "region corners"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + patch.len()].copy_from_slice(&patch);
+            let err = from_bytes(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
         }
     }
 

@@ -20,12 +20,23 @@
 //! * [`qualification_from_sorted`] — the naive oracle: every factor is a
 //!   binary search, `O(c² · s · log s)` for `c` candidates of `s` instances.
 //! * [`qualification_sweep_into`] — the production kernel: a **merged-CDF
-//!   sweep**. All candidates' sorted distance lists are merged once; walking
-//!   the merged sequence in ascending order, each candidate's
+//!   sweep**. The candidates' distances (each list in any order) are merged
+//!   once; walking the merged sequence in ascending order, each candidate's
 //!   "farther-mass" `(n_j − |{d ≤ r}|)/n_j` is maintained incrementally in
 //!   a product tree, so each world's rival product is an `O(log c)` tree
-//!   walk instead of an `O(c log s)` rescan — `O(c · s · (log c + log s))`
-//!   total, and allocation-free given a warmed [`ProbScratch`].
+//!   walk instead of an `O(c log s)` rescan. Allocation-free given a warmed
+//!   [`ProbScratch`].
+//!
+//! The sweep visits only the worlds that can carry mass. Let `cutoff` be the
+//! smallest *farthest instance* over the candidates, attained by `o_k`. In
+//! every world at a distance past `cutoff`, `o_k` has farther-mass `0/n_k`,
+//! so the rival product is exactly `+0.0` and the world adds exactly `+0.0`
+//! to its candidate's sum, which leaves the sum's bits unchanged. (This is
+//! the nonzero-NN argument of Agarwal et al. applied to instances.) The
+//! sweep therefore merges only the `K ≤ c · s` instances at or below
+//! `cutoff`: `O(c · s + K · (log K + log c))` in total. When all `K` belong
+//! to one candidate, every rival factor of its worlds is exactly `1.0`, and
+//! the sum needs neither the merge nor the tree.
 //!
 //! Both kernels combine rival factors with the *same* canonical product-tree
 //! association (see `padded_tree_product` in this module), so their outputs
@@ -69,10 +80,6 @@ pub fn qualification_probabilities_sweep(
     for o in candidates {
         let start = dists.len() as u32;
         o.dists_sq_into(q, &mut scratch, &mut dists);
-        // `start ≤ len` always (the fill only appends), so this is `Some`.
-        if let Some(new_dists) = dists.get_mut(start as usize..) {
-            new_dists.sort_unstable_by(f64::total_cmp);
-        }
         spans.push((o.id, start, dists.len() as u32 - start));
     }
     let mut out = Vec::new();
@@ -147,7 +154,7 @@ fn padded_tree_product(factors: &[f64]) -> f64 {
 /// after warm-up the sweep performs no heap allocation.
 #[derive(Debug, Default, Clone)]
 pub struct ProbScratch {
-    /// Merged `(distance, candidate index)` events.
+    /// Merged `(distance, candidate index)` events at or below the cutoff.
     events: Vec<(f64, u32)>,
     /// Instances of each candidate processed so far (`|{d ≤ r}|`).
     counts: Vec<u32>,
@@ -160,101 +167,149 @@ pub struct ProbScratch {
 /// The merged-CDF sweep — the optimized Step-2 kernel.
 ///
 /// `spans[k] = (id, start, len)` describes candidate `k`: its instance
-/// distances are `dists[start .. start + len]`, sorted ascending (squared
-/// distances in the query engine; any monotone metric works). Writes
-/// `(id, probability)` pairs to `out` (cleared first) in span order,
-/// bitwise identical to [`qualification_from_sorted`] on the same lists —
-/// ties included, because an instance's rivals are counted *after* every
-/// event with an equal distance has been applied, exactly like the oracle's
-/// `d ≤ r` partition point.
+/// distances are `dists[start .. start + len]`, **in any order** (squared
+/// distances in the query engine; any monotone metric works). A span that
+/// does not fit in `dists` reads as empty. Writes `(id, probability)` pairs
+/// to `out` (cleared first) in span order, bitwise identical to
+/// [`qualification_from_sorted`] on the same lists sorted — ties included,
+/// because an instance's rivals are counted *after* every event with an
+/// equal distance has been applied, exactly like the oracle's `d ≤ r`
+/// partition point.
 ///
-/// Complexity: `O(N log c + N log N)` for `N` total instances and `c`
-/// candidates — the `N log N` term is the merge (a sort of per-candidate
-/// sorted runs), the `N log c` term covers the tree updates and the
+/// Only the worlds that can carry mass are swept. `cutoff` is the smallest
+/// farthest instance over the non-empty spans (each farthest a `total_cmp`
+/// maximum, which is why the order within a span does not matter). Past
+/// `cutoff`, the candidate attaining it has farther-mass `0/n = 0.0`, so
+/// every later world's rival product is `+0.0` and `p += inv_n * 0.0`
+/// leaves `p`'s bits unchanged. Only the events at or below `cutoff` (ties
+/// at it kept) are merged. If they all belong to one candidate, every
+/// rival factor of its worlds is exactly `1.0`: its sum is `n` additions of
+/// `1/n`, with no merge and no tree walk.
+///
+/// Complexity: `O(N + K log K + K log c)` for `N` total instances, `K ≤ N`
+/// of them at or below the cutoff, and `c` candidates. The `N` term finds
+/// the cutoff and gathers the kept events, the `K log K` term is their
+/// merge (one sort), and the `K log c` term covers the tree updates and the
 /// per-world exclusion walks.
-// pv-lint: allow(hot-path-no-panic, reason = "every index in this kernel is structurally in-bounds: counts/probs/tree are resized from spans.len() at entry, event candidate indices come from enumerating spans, tree walks stay below 2*size by construction, and the span ranges into dists are the documented caller contract (see the doc comment)")
 pub fn qualification_sweep_into(
     spans: &[(u64, u32, u32)],
     dists: &[f64],
     scratch: &mut ProbScratch,
     out: &mut Vec<(u64, f64)>,
 ) {
-    out.clear();
-    let c = spans.len();
-    if c == 0 {
-        return;
-    }
-    let size = c.next_power_of_two();
-    scratch.tree.clear();
-    scratch.tree.resize(2 * size, 1.0);
-    scratch.counts.clear();
-    scratch.counts.resize(c, 0);
-    scratch.probs.clear();
-    scratch.probs.resize(c, 0.0);
+    let span_dists = |&(_, start, len): &(u64, u32, u32)| {
+        let start = start as usize;
+        dists.get(start..start + len as usize).unwrap_or_default()
+    };
+    let cutoff = spans
+        .iter()
+        .filter_map(|span| span_dists(span).iter().copied().max_by(f64::total_cmp))
+        .min_by(f64::total_cmp);
     scratch.events.clear();
-    for (ci, &(_, start, len)) in spans.iter().enumerate() {
-        for &d in &dists[start as usize..(start + len) as usize] {
-            scratch.events.push((d, ci as u32));
+    if let Some(cutoff) = cutoff {
+        // Everything up to and including the tie group at `cutoff`:
+        // `total_cmp` orders like the merge below, and `==` also keeps a
+        // `+0.0` when the cutoff is `-0.0`, a pair the merge keeps apart
+        // but the sweep counts as a tie.
+        let kept = |d: &f64| d.total_cmp(&cutoff).is_le() || *d == cutoff;
+        for (ci, span) in (0u32..).zip(spans) {
+            let span_events = span_dists(span).iter().filter(|d| kept(d));
+            scratch.events.extend(span_events.map(|&d| (d, ci)));
         }
     }
-    scratch
-        .events
-        .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let tree = &mut scratch.tree;
-    let events = &scratch.events;
-    let mut i = 0;
-    while i < events.len() {
-        let d = events[i].0;
-        let mut j = i;
-        while j < events.len() && events[j].0 == d {
-            j += 1;
+    scratch.probs.clear();
+    scratch.probs.resize(spans.len(), 0.0);
+    // Events arrive grouped by candidate, so equal ends mean one candidate.
+    match (scratch.events.first(), scratch.events.last()) {
+        (Some(&(_, first)), Some(&(_, last))) if first == last => {
+            // No rival has an instance at or below any of this candidate's
+            // worlds: each rival product is exactly 1.0.
+            let ci = first as usize;
+            if let (Some(p), Some(&(_, _, n))) = (scratch.probs.get_mut(ci), spans.get(ci)) {
+                let inv_n = 1.0 / f64::from(n);
+                for _ in 0..n {
+                    *p += inv_n;
+                }
+            }
         }
+        _ => sweep_events(spans, scratch),
+    }
+    out.clear();
+    let ids = spans.iter().map(|&(id, ..)| id);
+    out.extend(ids.zip(scratch.probs.iter().copied()));
+}
+
+/// The sweep proper over `scratch.events`, the kept events when no single
+/// candidate holds them all: merges them in ascending `(distance,
+/// candidate)` order and accumulates every world's rival product into
+/// `scratch.probs`.
+fn sweep_events(spans: &[(u64, u32, u32)], scratch: &mut ProbScratch) {
+    let ProbScratch {
+        events,
+        counts,
+        tree,
+        probs,
+    } = scratch;
+    events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let size = spans.len().next_power_of_two();
+    tree.clear();
+    tree.resize(2 * size, 1.0);
+    counts.clear();
+    counts.resize(spans.len(), 0);
+    for group in events.chunk_by(|a, b| a.0 == b.0) {
         // Phase 1: absorb every instance at exactly this distance into the
         // counts *before* evaluating any world at it — ties across (and
         // within) candidates count as "not farther", matching `d ≤ r`.
-        for &(_, ci) in &events[i..j] {
+        for &(_, ci) in group {
             let ci = ci as usize;
-            scratch.counts[ci] += 1;
-            let n = spans[ci].2;
-            let mut p = size + ci;
-            tree[p] = (n - scratch.counts[ci]) as f64 / n as f64;
-            p >>= 1;
-            while p >= 1 {
-                tree[p] = tree[2 * p] * tree[2 * p + 1];
-                if p == 1 {
-                    break;
-                }
-                p >>= 1;
+            if let (Some(count), Some(&(_, _, n))) = (counts.get_mut(ci), spans.get(ci)) {
+                *count += 1;
+                set_leaf(tree, size + ci, f64::from(n - *count) / f64::from(n));
             }
         }
         // Phase 2: one world per instance — the product of every rival's
         // farther-mass, read off the tree by the sibling walk (equivalent to
         // re-deriving the root with this candidate's leaf set to 1.0, in the
         // canonical association).
-        for &(_, ci) in &events[i..j] {
+        for &(_, ci) in group {
             let ci = ci as usize;
-            let inv_n = 1.0 / spans[ci].2 as f64;
-            let mut v = 1.0f64;
-            let mut p = size + ci;
-            while p > 1 {
-                // IEEE-754 multiplication commutes bit-exactly, so both
-                // sibling sides reduce to `v *=` without breaking the
-                // canonical-association equivalence.
-                if p & 1 == 0 {
-                    v *= tree[p + 1];
-                } else {
-                    v *= tree[p - 1];
-                }
-                p >>= 1;
+            if let (Some(p), Some(&(_, _, n))) = (probs.get_mut(ci), spans.get(ci)) {
+                let inv_n = 1.0 / f64::from(n);
+                *p += inv_n * rival_product(tree, size + ci);
             }
-            scratch.probs[ci] += inv_n * v;
         }
-        i = j;
     }
-    for (ci, &(id, _, len)) in spans.iter().enumerate() {
-        out.push((id, if len == 0 { 0.0 } else { scratch.probs[ci] }));
+}
+
+/// Sets leaf `leaf` of the 1-indexed product tree to `value` and recomputes
+/// every ancestor as `left * right`.
+fn set_leaf(tree: &mut [f64], leaf: usize, value: f64) {
+    if let Some(slot) = tree.get_mut(leaf) {
+        *slot = value;
     }
+    let mut p = leaf >> 1;
+    while p >= 1 {
+        if let Some(&[left, right]) = tree.get(2 * p..2 * p + 2) {
+            if let Some(slot) = tree.get_mut(p) {
+                *slot = left * right;
+            }
+        }
+        p >>= 1;
+    }
+}
+
+/// The product of every leaf but `leaf`, by the sibling walk up to the root.
+fn rival_product(tree: &[f64], leaf: usize) -> f64 {
+    let mut v = 1.0f64;
+    let mut p = leaf;
+    while p > 1 {
+        // IEEE-754 multiplication commutes bit-exactly, so both sibling
+        // sides reduce to `v *=` without breaking the canonical-association
+        // equivalence.
+        v *= tree.get(p ^ 1).copied().unwrap_or(1.0);
+        p >>= 1;
+    }
+    v
 }
 
 /// Estimated number of disk pages an instance payload of `n_samples`
@@ -434,10 +489,8 @@ mod tests {
         assert_eq!(frac_farther(&[], 1.0), 1.0);
     }
 
-    /// Runs both kernels on the same pre-sorted lists and demands bitwise
-    /// equality.
-    fn assert_kernels_agree(candidates: &[(u64, Vec<f64>)]) {
-        let naive = qualification_from_sorted(candidates);
+    /// The sweep kernel on `(id, distances)` lists, each in the order given.
+    fn sweep(candidates: &[(u64, Vec<f64>)]) -> Vec<(u64, f64)> {
         let mut dists = Vec::new();
         let mut spans = Vec::new();
         for (id, ds) in candidates {
@@ -446,15 +499,47 @@ mod tests {
         }
         let mut swept = Vec::new();
         qualification_sweep_into(&spans, &dists, &mut ProbScratch::default(), &mut swept);
-        assert_eq!(naive.len(), swept.len());
-        for ((ia, pa), (ib, pb)) in naive.iter().zip(swept.iter()) {
+        swept
+    }
+
+    fn assert_bitwise_eq(want: &[(u64, f64)], got: &[(u64, f64)]) {
+        assert_eq!(want.len(), got.len());
+        for ((ia, pa), (ib, pb)) in want.iter().zip(got.iter()) {
             assert_eq!(ia, ib);
             assert_eq!(
                 pa.to_bits(),
                 pb.to_bits(),
-                "kernels disagree on P({ia}): naive {pa} vs sweep {pb}"
+                "kernels disagree on P({ia}): {pa} vs {pb}"
             );
         }
+    }
+
+    /// Runs the sweep on the lists as given and the oracle on sorted copies,
+    /// and demands bitwise equality.
+    fn assert_kernels_agree(candidates: &[(u64, Vec<f64>)]) {
+        let sorted: Vec<(u64, Vec<f64>)> = candidates
+            .iter()
+            .map(|(id, ds)| {
+                let mut ds = ds.clone();
+                ds.sort_unstable_by(f64::total_cmp);
+                (*id, ds)
+            })
+            .collect();
+        assert_bitwise_eq(&qualification_from_sorted(&sorted), &sweep(candidates));
+    }
+
+    /// 1–8 sorted lists of 0–11 distances on a tiny grid, so ties are common.
+    fn random_sorted_lists(rng: &mut rand::rngs::StdRng) -> Vec<(u64, Vec<f64>)> {
+        use rand::Rng;
+        let c = rng.gen_range(1..9usize);
+        (0..c)
+            .map(|i| {
+                let s = rng.gen_range(0..12usize);
+                let mut ds: Vec<f64> = (0..s).map(|_| rng.gen_range(0..8) as f64 * 0.5).collect();
+                ds.sort_unstable_by(f64::total_cmp);
+                (i as u64, ds)
+            })
+            .collect()
     }
 
     #[test]
@@ -475,21 +560,61 @@ mod tests {
 
     #[test]
     fn sweep_matches_oracle_on_random_lists() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         for _ in 0..200 {
-            let c = rng.gen_range(1..9usize);
-            let candidates: Vec<(u64, Vec<f64>)> = (0..c)
-                .map(|i| {
-                    let s = rng.gen_range(0..12usize);
-                    // draw from a tiny grid so ties are common
-                    let mut ds: Vec<f64> =
-                        (0..s).map(|_| rng.gen_range(0..8) as f64 * 0.5).collect();
-                    ds.sort_unstable_by(f64::total_cmp);
-                    (i as u64, ds)
-                })
+            assert_kernels_agree(&random_sorted_lists(&mut rng));
+        }
+    }
+
+    #[test]
+    fn rival_instance_at_the_cutoff_is_swept() {
+        // The cutoff is 3, the first list's farthest. The rival's instance
+        // at exactly 3 counts as "not farther" in the first list's world at
+        // 3: P = ½·1 + ½·½.
+        let lists = [(1, vec![1.0, 3.0]), (2, vec![3.0, 5.0])];
+        assert_kernels_agree(&lists);
+        assert_eq!(sweep(&lists), vec![(1, 0.75), (2, 0.0)]);
+        // A `-0.0` cutoff ties with the rival's `+0.0`, which `total_cmp`
+        // alone would order past it.
+        let lists = [(1, vec![-0.0]), (2, vec![5.0, 0.0])];
+        assert_kernels_agree(&lists);
+        assert_eq!(sweep(&lists), vec![(1, 0.5), (2, 0.0)]);
+    }
+
+    #[test]
+    fn one_contributor_skips_dominated_and_empty_spans() {
+        // Only the first list has instances at or below the cutoff (2): its
+        // worlds have no rival factor below 1.0, and the dominated and the
+        // empty span get exactly 0.
+        let lists = [(1, vec![2.0, 1.0]), (2, vec![5.0, 6.0]), (3, vec![])];
+        assert_kernels_agree(&lists);
+        assert_eq!(sweep(&lists), vec![(1, 1.0), (2, 0.0), (3, 0.0)]);
+        // `n` additions of `1/n` for an `n` that is no power of two.
+        assert_kernels_agree(&[(1, vec![3.0, 1.0, 2.0]), (2, vec![4.0])]);
+    }
+
+    #[test]
+    fn nan_distances_do_not_stall_the_sweep() {
+        // A query point with a NaN coordinate yields NaN distances. A NaN
+        // equals nothing, not even itself, so each forms a tie group of its
+        // own, and the sweep must still advance past it.
+        let lists = [(1, vec![f64::NAN, 1.0]), (2, vec![2.0, f64::NAN])];
+        assert_eq!(sweep(&lists).len(), 2);
+    }
+
+    #[test]
+    fn reversed_spans_match_sorted_spans() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let sorted = random_sorted_lists(&mut rng);
+            let reversed: Vec<(u64, Vec<f64>)> = sorted
+                .iter()
+                .map(|(id, ds)| (*id, ds.iter().rev().copied().collect()))
                 .collect();
-            assert_kernels_agree(&candidates);
+            assert_bitwise_eq(&sweep(&sorted), &sweep(&reversed));
+            assert_kernels_agree(&reversed);
         }
     }
 

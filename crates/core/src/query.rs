@@ -7,11 +7,11 @@
 //! This module provides it:
 //!
 //! * [`QuerySpec`] — a builder describing *what to answer*: plain PNNQ,
-//!   probability threshold, top-k, Step-1-only retrieval, an optional I/O
-//!   budget, and batch parallelism;
+//!   probability threshold, top-k, Step-1-only retrieval, and batch
+//!   parallelism;
 //! * [`QueryOutcome`] / [`BatchOutcome`] — rich results: answers sorted by
-//!   qualification probability, the raw Step-1 candidate set, per-phase
-//!   [`Step1Stats`]/[`QueryStats`], and a truncation flag;
+//!   qualification probability, the raw Step-1 candidate set, and per-phase
+//!   [`Step1Stats`]/[`QueryStats`];
 //! * [`Step1Engine`] — candidate retrieval (PNNQ Step 1), implemented by
 //!   every index in the workspace;
 //! * [`ProbNnEngine`] — full PNNQ. Engines implement one hook per paper
@@ -80,17 +80,24 @@
 //!
 //! When a threshold or top-k is requested, Step 2 visits candidates in
 //! ascending `distmin` order and maintains `cutoff`, the smallest *farthest
-//! instance distance* seen so far. A candidate `x` with
-//! `distmin(x, q) > cutoff` is provably irrelevant: some fetched object `o`
-//! has **all** instances strictly closer than all of `x`'s, so `P(x) = 0`;
-//! and in every possible world that contributes probability mass to another
-//! candidate the winning distance `d` satisfies `d < cutoff < distmin(x)`,
-//! making `x`'s factor `P(dist(x, q) > d)` exactly `1`. Skipping `x`'s pdf
-//! payload therefore changes no reported probability — the first
-//! semantics-level optimization the old per-engine inherent methods could
-//! not express. Because candidates are sorted by `distmin`, the first skip
-//! ends the scan. (The driver compares `distmin²` against a squared cutoff —
-//! the same argument, one `sqrt` cheaper.)
+//! instance distance* seen so far. Each fetched candidate's farthest
+//! instance is a linear `total_cmp` maximum over its distances (no
+//! per-candidate sort: the kernel takes them in any order). A candidate `x`
+//! with `distmin(x, q) > cutoff` is provably irrelevant: some fetched object
+//! `o` has **all** instances strictly closer than all of `x`'s, so
+//! `P(x) = 0`; and in every possible world that contributes probability
+//! mass to another candidate the winning distance `d` satisfies
+//! `d ≤ cutoff < distmin(x)`, making `x`'s factor `P(dist(x, q) > d)`
+//! exactly `1`. Skipping `x`'s pdf payload therefore changes no reported
+//! probability — the first semantics-level optimization the old per-engine
+//! inherent methods could not express. Because candidates are sorted by
+//! `distmin`, the first skip ends the scan. (The driver compares `distmin²`
+//! against a squared cutoff — the same argument, one `sqrt` cheaper.)
+//!
+//! The kernel applies the same cutoff inside Step 2, for every spec: over the
+//! fetched candidates, a world farther than the smallest farthest instance
+//! has a rival with no farther mass left and adds exactly `+0.0`, so
+//! [`qualification_sweep_into`] merges only the instances at or below it.
 
 use crate::error::QueryError;
 use crate::prob::{qualification_sweep_into, ProbScratch};
@@ -131,7 +138,8 @@ pub struct QueryScratch {
     order: Vec<(u64, f64)>,
     /// `(id, start, len)` spans into `dists`, in fetch order.
     spans: Vec<(u64, u32, u32)>,
-    /// Flat buffer of per-candidate sorted squared instance distances.
+    /// Flat buffer of per-candidate squared instance distances, each span
+    /// in fetch order (unsorted).
     dists: Vec<f64>,
     /// Merged-CDF sweep state.
     prob: ProbScratch,
@@ -589,14 +597,15 @@ pub trait ProbNnEngine: Step1Engine {
             }
             let start = scratch.dists.len() as u32;
             pc_io += self.fetch_dists_sq(id, q, &mut scratch.dists, &mut scratch.fetch);
-            // `start ≤ len` always holds (the fetch only appends), so the
-            // slice is `Some`; its sorted last element is the candidate's
-            // farthest instance, which tightens the prune cutoff.
-            if let Some(new_dists) = scratch.dists.get_mut(start as usize..) {
-                new_dists.sort_unstable_by(f64::total_cmp);
-                if let Some(&farthest_sq) = new_dists.last() {
-                    cutoff_sq = cutoff_sq.min(farthest_sq);
-                }
+            // The candidate's farthest instance tightens the prune cutoff. A
+            // linear `total_cmp` max, the element a sort would put last: the
+            // kernel takes each span's distances in any order.
+            let farthest_sq = scratch
+                .dists
+                .get(start as usize..)
+                .and_then(|new_dists| new_dists.iter().copied().max_by(f64::total_cmp));
+            if let Some(farthest_sq) = farthest_sq {
+                cutoff_sq = cutoff_sq.min(farthest_sq);
             }
             scratch
                 .spans

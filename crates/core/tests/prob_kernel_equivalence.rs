@@ -6,6 +6,9 @@
 //! The generators deliberately stress the hard cases: duplicate distances
 //! within a candidate, exact ties across candidates, zero-probability
 //! (dominated) rivals, empty instance lists and the single-candidate query.
+//! The sweep takes each candidate's distances in any order; the oracle takes
+//! them sorted. The `PROPTEST_CASES` environment variable scales the case
+//! count for the scheduled deep-fuzz job.
 
 use proptest::prelude::*;
 use pv_core::prob::{
@@ -17,6 +20,15 @@ use pv_core::verify::{possible_nn, LinearScan};
 use pv_geom::{min_dist_sq, HyperRect, Point};
 use pv_uncertain::{Pdf, UncertainDb, UncertainObject};
 use std::sync::Arc;
+
+/// Case count: 128 per property by default, scaled up by `PROPTEST_CASES`
+/// in the scheduled deep-fuzz job.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(128)
+}
 
 /// Asserts both kernels produce bit-for-bit equal `(id, probability)` lists.
 fn assert_bitwise_equal(naive: &[(u64, f64)], swept: &[(u64, f64)]) {
@@ -111,7 +123,7 @@ fn oracle_pipeline(objs: &[UncertainObject], q: &Point) -> Vec<(u64, f64)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Kernel-level law: on identical pre-sorted lists the sweep and the
     /// oracle agree bit for bit.
@@ -123,6 +135,29 @@ proptest! {
         for (id, ds) in &lists {
             spans.push((*id, dists.len() as u32, ds.len() as u32));
             dists.extend_from_slice(ds);
+        }
+        let mut swept = Vec::new();
+        qualification_sweep_into(&spans, &dists, &mut ProbScratch::default(), &mut swept);
+        assert_bitwise_equal(&naive, &swept);
+    }
+
+    /// The sweep's any-order contract: each list reversed, then rotated by
+    /// a drawn offset, still gives the oracle's bits on the sorted lists.
+    #[test]
+    fn sweep_takes_spans_in_any_order(
+        lists in arb_sorted_lists(),
+        offsets in prop::collection::vec(0usize..10, 8..9),
+    ) {
+        let naive = qualification_from_sorted(&lists);
+        let mut dists = Vec::new();
+        let mut spans = Vec::new();
+        for ((id, ds), offset) in lists.iter().zip(offsets.iter().cycle()) {
+            let mut permuted = ds.clone();
+            permuted.reverse();
+            let shift = offset % permuted.len().max(1);
+            permuted.rotate_left(shift);
+            spans.push((*id, dists.len() as u32, permuted.len() as u32));
+            dists.extend_from_slice(&permuted);
         }
         let mut swept = Vec::new();
         qualification_sweep_into(&spans, &dists, &mut ProbScratch::default(), &mut swept);

@@ -273,16 +273,6 @@ impl WritableEngine for RTreeBaseline {
     fn apply_remove(&mut self, id: u64) -> Result<UpdateStats, DbError> {
         self.remove(id)
     }
-
-    fn apply_rebuild(&mut self) -> BuildStats {
-        let t0 = Instant::now();
-        *self = self.rebulk_loaded();
-        BuildStats {
-            total_time: t0.elapsed(),
-            ubr_count: self.objects.len(),
-            ..Default::default()
-        }
-    }
 }
 
 impl PersistentEngine for RTreeBaseline {

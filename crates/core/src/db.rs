@@ -307,25 +307,13 @@ pub trait WritableEngine: ProbNnEngine {
     /// [`DbError::UnknownId`] when the id is not indexed.
     fn apply_remove(&mut self, id: u64) -> Result<UpdateStats, DbError>;
 
-    /// Rebuilds the engine from its current object catalog (the paper's
-    /// "Rebuild" maintenance competitor).
-    fn apply_rebuild(&mut self) -> BuildStats;
-
     /// A freshly rebuilt successor over this engine's current object
-    /// catalog, plus the build cost — what [`Db::rebuild`] publishes. The
-    /// default forks and rebuilds the fork in place; engines whose rebuild
-    /// already constructs an independent index straight from the catalog
-    /// override this to skip the redundant fork (for the PV-index the fork
-    /// is a full snapshot round-trip that a rebuild would immediately throw
-    /// away).
+    /// catalog, plus the build cost — what [`Db::rebuild`] publishes (the
+    /// paper's "Rebuild" maintenance competitor). It is built straight from
+    /// the catalog, so no copy-on-write fork is paid first.
     fn rebuilt(&self) -> (Self, BuildStats)
     where
-        Self: Sized,
-    {
-        let mut fork = self.fork();
-        let stats = fork.apply_rebuild();
-        (fork, stats)
-    }
+        Self: Sized;
 }
 
 /// An engine whose full state round-trips through a snapshot — the hook

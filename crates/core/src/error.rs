@@ -45,6 +45,9 @@ pub enum QueryError {
         /// Dimensionality of the offending query point.
         got: usize,
     },
+    /// A coordinate of the query point is NaN or infinite, so no distance
+    /// to it is meaningful.
+    NonFinitePoint,
     /// The engine indexes no objects, so "the nearest neighbor" does not
     /// exist. (Distinguished from an empty *answer set*, which a threshold
     /// spec can legitimately produce.)
@@ -63,6 +66,9 @@ impl fmt::Display for QueryError {
                 f,
                 "query point has dimensionality {got}, the indexed data has {expected}"
             ),
+            QueryError::NonFinitePoint => {
+                write!(f, "query point has a NaN or infinite coordinate")
+            }
             QueryError::EmptyDatabase => write!(f, "the database holds no objects"),
             QueryError::MissingTarget => write!(
                 f,

@@ -24,10 +24,10 @@
 use crate::cset::{build_mean_tree, choose_cset};
 use crate::db::{PersistentEngine, WritableEngine};
 use crate::error::DbError;
-use crate::params::{CSetStrategy, PvParams};
+use crate::params::PvParams;
 use crate::prob::payload_pages;
 use crate::query::{FetchScratch, ProbNnEngine, Step1Engine};
-use crate::se::{compute_ubr, compute_ubr_with_bounds, SeBounds};
+use crate::se::compute_ubr;
 use crate::stats::{BuildStats, SeStats, Step1Stats, UpdateStats};
 use pv_exthash::ExtHash;
 use pv_geom::{HyperRect, Point};
@@ -35,7 +35,7 @@ use pv_octree::{decode_leaf_record, encode_leaf_record, leaf_record_dists_sq, Oc
 use pv_rtree::RTree;
 use pv_storage::{codec, MemPager, Pager};
 use pv_uncertain::{UncertainDb, UncertainObject};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -64,12 +64,6 @@ pub struct PvIndex {
     pub(crate) mean_tree: RTree,
     /// Construction statistics.
     pub(crate) build_stats: BuildStats,
-    /// Tightness-maintenance queue (PR 6): ids whose UBRs are conservative
-    /// but possibly loose after deferred §VI-B recomputation. Drained at
-    /// [`PvParams::update_budget`] warm-started SE runs per commit. Purely
-    /// an in-memory hint — not serialised (a loaded index starts with an
-    /// empty queue; its stored UBRs are sound either way).
-    pub(crate) stale: BTreeSet<u64>,
 }
 
 impl std::fmt::Debug for PvIndex {
@@ -77,7 +71,6 @@ impl std::fmt::Debug for PvIndex {
         f.debug_struct("PvIndex")
             .field("dim", &self.dim)
             .field("objects", &self.objects.len())
-            .field("stale", &self.stale.len())
             .finish_non_exhaustive()
     }
 }
@@ -198,6 +191,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// One object's SE run, exactly as the build and every insertion perform
+/// it: `chooseCSet` with [`PvParams::cset`], then [`compute_ubr`] at the
+/// effective threshold.
+fn se_run(
+    o: &UncertainObject,
+    params: &PvParams,
+    domain: &HyperRect,
+    mean_tree: &RTree,
+    regions: &HashMap<u64, HyperRect>,
+) -> (HyperRect, SeStats) {
+    let t_cset = Instant::now();
+    let cset = choose_cset(o, params.cset, mean_tree, regions);
+    let cset_time = t_cset.elapsed();
+    let (ubr, mut st) = compute_ubr(o, domain, &cset, params.effective_delta(), params.mmax);
+    st.cset_time = cset_time;
+    (ubr, st)
+}
+
 impl PvIndex {
     /// Builds the PV-index for a database: computes every UBR with SE
     /// (work-stealing parallel when [`PvParams::build_threads`] > 1) and
@@ -261,16 +272,11 @@ impl PvIndex {
         );
 
         // Phase 1: UBR computation (embarrassingly parallel over objects).
-        let delta = params.effective_delta();
         let compute_one = |o: &UncertainObject| -> (u64, HyperRect, SeStats) {
             if o.id == BUILD_POISON_ID.load(Ordering::Relaxed) {
                 panic!("poisoned object {} reached a build worker", o.id);
             }
-            let t_cset = Instant::now();
-            let cset = choose_cset(o, params.cset, &mean_tree, &regions);
-            let cset_time = t_cset.elapsed();
-            let (ubr, mut st) = compute_ubr(o, &db.domain, &cset, delta, params.mmax);
-            st.cset_time = cset_time;
+            let (ubr, st) = se_run(o, &params, &db.domain, &mean_tree, &regions);
             (o.id, ubr, st)
         };
         let mut se_total = SeStats::default();
@@ -442,7 +448,6 @@ impl PvIndex {
             ubrs,
             mean_tree,
             build_stats: BuildStats::default(),
-            stale: BTreeSet::new(),
         };
         index.build_stats = BuildStats {
             total_time: t_total.elapsed(),
@@ -483,10 +488,11 @@ impl PvIndex {
         &self.build_stats
     }
 
-    /// Number of objects whose UBRs are queued for deferred re-tightening.
-    /// Purely a freshness metric: queries are exact regardless of backlog.
+    /// Always 0: commits queue no deferred work, so the index holds no
+    /// state outside its snapshot. Kept only because the benchmark's
+    /// `index.stale_backlog` metric calls it.
     pub fn maintenance_backlog(&self) -> usize {
-        self.stale.len()
+        0
     }
 
     /// Applies the optional §VIII compression: snap a UBR outward onto the
@@ -556,36 +562,6 @@ impl PvIndex {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
-    /// Recomputes and stores the UBR of `id` with the given SE bounds and
-    /// candidate-set strategy. Returns its old and new UBRs.
-    fn refresh_ubr(
-        &mut self,
-        id: u64,
-        strategy: CSetStrategy,
-        bounds: SeBounds,
-        se_total: &mut SeStats,
-    ) -> (HyperRect, HyperRect) {
-        let o = self.objects[&id].clone();
-        let t_cset = Instant::now();
-        let cset = choose_cset(&o, strategy, &self.mean_tree, &self.regions);
-        let cset_time = t_cset.elapsed();
-        let (new_ubr, mut st) = compute_ubr_with_bounds(
-            &o,
-            &self.domain,
-            &cset,
-            self.params.effective_delta(),
-            self.params.mmax,
-            bounds,
-        );
-        st.cset_time = cset_time;
-        se_total.absorb(&st);
-        let new_ubr = self.maybe_quantize(new_ubr);
-        let old_ubr = self.ubrs.insert(id, new_ubr.clone()).expect("known id");
-        let record = encode_secondary(&new_ubr, &o, &self.domain, self.params.ubr_quantize_steps);
-        self.secondary.put(id, &record);
-        (old_ubr, new_ubr)
-    }
-
     /// The set `A` of §VI-B step 2: ids found by a primary-index range
     /// query, minus those proven unaffected by Lemma 8 (with the erratum
     /// fix: overlapping uncertainty regions ⇒ *unaffected*).
@@ -608,21 +584,22 @@ impl PvIndex {
             .collect()
     }
 
-    /// Incrementally inserts a new object (§VI-B "Insertion", with the PR-6
-    /// commit-path deferral).
+    /// Incrementally inserts a new object (§VI-B "Insertion").
     ///
-    /// A new object can only *shrink* PV-cells (Lemma 9), so the UBRs of
-    /// affected neighbours remain conservative as they stand — eager SE
-    /// recomputation is pure tightness maintenance. The commit path
-    /// therefore pays exactly one SE run (the new object's own UBR, with the
-    /// leaner [`PvParams::update_cset`]) and queues the affected ids for
-    /// deferred maintenance, instead of the paper's `1 + |A|` eager runs.
+    /// The new object's UBR comes from the build's own SE run (the
+    /// [`PvParams::cset`] candidate set through [`compute_ubr`]), so it is
+    /// the UBR a fresh build over the same objects gives it. A new object
+    /// can only *shrink* the other PV-cells (Lemma 9), so every neighbour's
+    /// UBR stays conservative as it stands: the paper's recomputation of the
+    /// affected set `A` would only re-tighten them, and that is left to
+    /// [`PvIndex::rebuild`]. With no recomputation there is no affected-set
+    /// range query either, so [`UpdateStats::scanned`] and
+    /// [`UpdateStats::affected`] are 0 for an insertion.
     ///
     /// # Errors
     /// [`DbError::DuplicateId`] if the id already exists,
     /// [`DbError::OutOfDomain`] if the region escapes the domain; the index
-    /// is untouched on error. (These were assertions before PR 5; a
-    /// serving system must reject bad requests as values.)
+    /// is untouched on error.
     pub fn insert(&mut self, o: UncertainObject) -> Result<UpdateStats, DbError> {
         if self.objects.contains_key(&o.id) {
             return Err(DbError::DuplicateId(o.id));
@@ -631,86 +608,61 @@ impl PvIndex {
             return Err(DbError::OutOfDomain(o.id));
         }
         let t0 = Instant::now();
-        let mut se_total = SeStats::default();
 
-        // Step 0: register o' so SE runs against S' = S ∪ {o'}.
+        // Register o' so SE runs against S' = S ∪ {o'}.
         self.mean_tree
             .insert(HyperRect::from_point(&o.region.center()), o.id);
         self.objects.insert(o.id, o.clone());
         self.regions.insert(o.id, o.region.clone());
 
-        // Step 1: B(S', o') by a fresh SE run.
-        let t_cset = Instant::now();
-        let cset = choose_cset(&o, self.params.update_cset, &self.mean_tree, &self.regions);
-        let cset_time = t_cset.elapsed();
-        let (new_ubr, mut st) = compute_ubr(
+        // B(S', o') by the build's SE run, then register o' everywhere.
+        let (ubr, se) = se_run(
             &o,
+            &self.params,
             &self.domain,
-            &cset,
-            self.params.effective_delta(),
-            self.params.mmax,
+            &self.mean_tree,
+            &self.regions,
         );
-        st.cset_time = cset_time;
-        se_total.absorb(&st);
-
-        // Step 2: find objects that may be affected.
-        let affected = self.affected_candidates(&new_ubr, &o);
-        let scanned = affected.len();
-
-        // Step 3, deferred: their UBRs stay sound (cells only shrink), so
-        // queue the tightening instead of paying |A| SE runs here.
-        self.stale.extend(affected.iter().copied());
-        // The leaner commit-path C-set may leave o's own UBR tightenable too.
-        self.stale.insert(o.id);
-
-        // Step 4 (new object): register o' everywhere.
-        let new_ubr = self.maybe_quantize(new_ubr);
-        let record = encode_secondary(&new_ubr, &o, &self.domain, self.params.ubr_quantize_steps);
+        let ubr = self.maybe_quantize(ubr);
+        let record = encode_secondary(&ubr, &o, &self.domain, self.params.ubr_quantize_steps);
         self.secondary.put(o.id, &record);
-        self.ubrs.insert(o.id, new_ubr.clone());
+        self.ubrs.insert(o.id, ubr.clone());
         let record = encode_leaf_record(o.id, &o.region);
         let ubrs = &self.ubrs;
         let lookup = move |i: u64| ubrs[&i].clone();
-        self.octree.insert(&new_ubr, &record, &lookup);
-
-        self.maintain(&mut se_total);
+        self.octree.insert(&ubr, &record, &lookup);
 
         Ok(UpdateStats {
             time: t0.elapsed(),
-            scanned,
-            affected: affected.len(),
-            se: se_total,
+            se,
+            ..Default::default()
         })
     }
 
-    /// Incrementally removes an object (§VI-B "Deletion", with the PR-6
-    /// commit-path deferral).
+    /// Incrementally removes an object (§VI-B "Deletion"), with no SE run.
     ///
-    /// Growing each affected UBR with SE on the commit path is what made
-    /// deletions O(|A|) SE runs. A deletion admits a cheap sound bound
-    /// instead: any point a neighbour `a` newly wins was previously a
-    /// possible-NN location of the deleted `o'` (removing an object only
-    /// raises the pruning distance τ at points where `o'` attained it, and
-    /// there `distmin(o') ≤ distmax(o') = τ`), hence lies inside `B(S,o')`.
-    /// So `V(S',a) ⊆ B(S,a) ∪ B(S,o')` and the rectangle union of the two
-    /// old UBRs is a valid new bound, at the cost of a rectangle op instead
-    /// of an SE run. The grown ids are queued for deferred maintenance to
-    /// re-tighten.
+    /// Growing each affected UBR with SE is what makes the paper's deletion
+    /// O(|A|) SE runs. A deletion admits a cheap sound bound instead: any
+    /// point a neighbour `a` newly wins was previously a possible-NN
+    /// location of the deleted `o'` (removing an object only raises the
+    /// pruning distance τ at points where `o'` attained it, and there
+    /// `distmin(o') ≤ distmax(o') = τ`), hence lies inside `B(S,o')`. So
+    /// `V(S',a) ⊆ B(S,a) ∪ B(S,o')` and the rectangle union of the two old
+    /// UBRs is a valid new bound, at the cost of a rectangle op instead of
+    /// an SE run. The grown UBRs stay loose until [`PvIndex::rebuild`]
+    /// re-tightens them.
     ///
     /// # Errors
-    /// [`DbError::UnknownId`] if the id is not indexed (previously `None`).
+    /// [`DbError::UnknownId`] if the id is not indexed.
     pub fn remove(&mut self, id: u64) -> Result<UpdateStats, DbError> {
         let o = self.objects.get(&id).ok_or(DbError::UnknownId(id))?.clone();
         let t0 = Instant::now();
-        let mut se_total = SeStats::default();
         let old_ubr = self.ubrs[&id].clone();
 
         // Step 2: affected set from a range query with B(S, o').
         let affected = self.affected_candidates(&old_ubr, &o);
-        let scanned = affected.len();
 
-        // Step 4a: unregister o' everywhere, then update the catalogs so the
-        // recomputations run against S' = S \ {o'}.
+        // Step 4a: unregister o' everywhere.
         self.octree.remove(&old_ubr, id);
         self.secondary.remove(id);
         self.ubrs.remove(&id);
@@ -718,20 +670,19 @@ impl PvIndex {
         self.regions.remove(&id);
         self.mean_tree
             .remove(&HyperRect::from_point(&o.region.center()), id);
-        self.stale.remove(&id);
 
-        // Step 3, deferred: every point a neighbour newly wins lies inside
-        // B(S, o') — the deleted object was a possible NN there. So the
-        // neighbour's *catalog* UBR grows by the sound rectangle union (a
-        // bounding box, cheap, possibly loose), while its *leaf records*
-        // are extended over B(S, o') only (`insert_covering` dedups), never
-        // over the box. Registering under the box instead compounds across
-        // deletion storms until every UBR covers the domain and octree
-        // leaves split to max depth; keeping leaf coverage tight makes the
-        // loose catalog box cost only Lemma-8 filter precision, which the
-        // queued re-tightening recovers. The invariant is: an object's
-        // records cover at least the leaves its PV-cell touches and at most
-        // the leaves its catalog UBR touches.
+        // Step 3, by the union bound: every point a neighbour newly wins
+        // lies inside B(S, o') — the deleted object was a possible NN there.
+        // So the neighbour's *catalog* UBR grows by the sound rectangle
+        // union (a bounding box, cheap, possibly loose), while its *leaf
+        // records* are extended over B(S, o') only (`insert_covering`
+        // dedups), never over the box. Registering under the box instead
+        // compounds across deletion storms until every UBR covers the domain
+        // and octree leaves split to max depth; keeping leaf coverage tight
+        // makes the loose catalog box cost only Lemma-8 filter precision,
+        // which a rebuild recovers. The invariant is: an object's records
+        // cover at least the leaves its PV-cell touches and at most the
+        // leaves its catalog UBR touches.
         let mut leaf_records: Vec<Vec<u8>> = Vec::with_capacity(affected.len());
         for aid in &affected {
             let old = self.ubrs[aid].clone();
@@ -747,7 +698,6 @@ impl PvIndex {
             // leaf coverage may not reach all of B(S, o') yet — extend it
             // unconditionally; the dedup scan makes re-covering a no-op.
             leaf_records.push(encode_leaf_record(*aid, &other.region));
-            self.stale.insert(*aid);
         }
         // One batched traversal of the leaves under B(S, o') for the whole
         // affected set, instead of one tree walk per neighbour.
@@ -756,52 +706,19 @@ impl PvIndex {
         let lookup = move |i: u64| ubrs[&i].clone();
         self.octree.insert_covering(&old_ubr, &record_refs, &lookup);
 
-        self.maintain(&mut se_total);
-
         Ok(UpdateStats {
             time: t0.elapsed(),
-            scanned,
+            scanned: affected.len(),
             affected: affected.len(),
-            se: se_total,
+            ..Default::default()
         })
     }
 
-    /// Amortized tightness maintenance (PR 6): re-tightens up to
-    /// [`PvParams::update_budget`] queued UBRs per commit with warm-started,
-    /// build-grade SE runs. Draining the queue is never needed for
-    /// correctness — every queued UBR is already conservative — it only
-    /// recovers query-time pruning quality, so a commit touching k objects
-    /// stays O(k·log n) index work instead of O(k) SE runs.
-    fn maintain(&mut self, se_total: &mut SeStats) {
-        for _ in 0..self.params.update_budget {
-            let Some(id) = self.stale.pop_first() else {
-                break;
-            };
-            if !self.objects.contains_key(&id) {
-                continue; // deleted while queued
-            }
-            let old = self.ubrs[&id].clone();
-            // The current (loose) UBR seeds the upper bound: h only ever
-            // shrinks from a rectangle already proven conservative.
-            let (_, tight) = self.refresh_ubr(
-                id,
-                self.params.update_cset,
-                SeBounds::after_insertion(old.clone()),
-                se_total,
-            );
-            self.octree.remove_delta(&old, &tight, id);
-        }
-    }
-
-    /// Rebuilds the index from its current object catalog (the paper's
-    /// "Rebuild" competitor for Figs. 10(h)/(i)).
+    /// Rebuilds the index from its current object catalog in place (the
+    /// paper's "Rebuild" competitor for Figs. 10(h)/(i)); the one operation
+    /// that re-tightens every UBR.
     pub fn rebuild(&mut self) -> BuildStats {
-        let db = UncertainDb::new(
-            self.domain.clone(),
-            self.objects.values().cloned().collect(),
-        );
-        let fresh = PvIndex::build(&db, self.params);
-        let stats = fresh.build_stats.clone();
+        let (fresh, stats) = self.rebuilt();
         *self = fresh;
         stats
     }
@@ -924,7 +841,6 @@ impl WritableEngine for PvIndex {
             ubrs: self.ubrs.clone(),
             mean_tree: self.mean_tree.clone(),
             build_stats: self.build_stats.clone(),
-            stale: self.stale.clone(),
         }
     }
 
@@ -936,12 +852,7 @@ impl WritableEngine for PvIndex {
         self.remove(id)
     }
 
-    fn apply_rebuild(&mut self) -> BuildStats {
-        self.rebuild()
-    }
-
-    /// [`PvIndex::build`] already constructs a fully independent index from
-    /// the catalog, so the successor needs no snapshot-codec fork first.
+    /// A fresh [`PvIndex::build`] over the current object catalog.
     fn rebuilt(&self) -> (Self, BuildStats) {
         let db = UncertainDb::new(
             self.domain.clone(),

@@ -8,8 +8,8 @@
 //!   selection: k nearest means) and **IS** (incremental selection with
 //!   `2^d` partition counters);
 //! * [`se`] — the **Shrink-and-Expand** algorithm (§V, Algorithm 1)
-//!   computing an Uncertain Bounding Rectangle `B(o) ⊇ V(o)`, including the
-//!   warm-started variants used by incremental maintenance (§VI-B);
+//!   computing an Uncertain Bounding Rectangle `B(o) ⊇ V(o)`, run by the
+//!   build and by every insertion (§VI-B);
 //! * [`index`] — the **PV-index** (§VI): octree primary index + extendible
 //!   hash secondary index, PNNQ Step-1 retrieval, full PNNQ evaluation, and
 //!   incremental insertion/deletion;

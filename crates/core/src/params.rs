@@ -43,7 +43,8 @@ pub struct PvParams {
     /// Partition budget `m_max` of the domination-count estimation
     /// (paper default 10).
     pub mmax: usize,
-    /// `chooseCSet` strategy (paper default: IS).
+    /// `chooseCSet` strategy of every SE run: the build's and each
+    /// insertion's (paper default: IS).
     pub cset: CSetStrategy,
     /// Disk page size in bytes (paper: 4 KiB).
     pub page_size: usize,
@@ -60,21 +61,6 @@ pub struct PvParams {
     /// Step 1 stays exact (enlargement preserves `B(o) ⊇ V(o)`; the min/max
     /// filter removes the extra candidates) at a small I/O premium.
     pub ubr_quantize_steps: Option<u16>,
-    /// `chooseCSet` strategy for commit-path SE runs (PR 6). Updates run SE
-    /// with a leaner candidate set than builds: by Lemma 7 any non-empty
-    /// C-set keeps `B(o) ⊇ V(o)`, so the only cost is a slightly looser
-    /// rectangle — which the amortized maintenance queue later tightens.
-    /// This is what lets a single-object commit finish in ~1 ms instead of
-    /// paying the build-grade candidate set on the serving path.
-    pub update_cset: CSetStrategy,
-    /// Deferred UBR refreshes paid per commit (PR 6). Insertions leave
-    /// neighbour UBRs untouched (a new object only shrinks PV-cells, so old
-    /// rectangles stay conservative) and deletions grow them by a cheap
-    /// rectangle union; the affected ids are queued and up to this many are
-    /// re-tightened by warm-started SE per subsequent commit. Correctness
-    /// never depends on the queue draining — only query-time pruning
-    /// tightness does.
-    pub update_budget: usize,
     /// Approximate-UBR mode (PR 8): when positive, SE terminates boundary
     /// refinement once the per-axis uncertainty gap drops below this value
     /// instead of `delta`, inflating every stored UBR by at most this much
@@ -97,11 +83,6 @@ impl Default for PvParams {
             rtree_fanout: 100,
             build_threads: 1,
             ubr_quantize_steps: None,
-            update_cset: CSetStrategy::Incremental {
-                k_partition: 2,
-                k_global: 16,
-            },
-            update_budget: 1,
             approx_epsilon: 0.0,
         }
     }
@@ -144,8 +125,8 @@ impl PvParams {
 
     /// The SE termination threshold in effect: `delta`, relaxed to
     /// `approx_epsilon` when the approximate mode dominates it. Every SE
-    /// call site (build and update paths) goes through this, so approx-built
-    /// indexes also maintain their looseness bound across commits.
+    /// call site (build and insertion) goes through this, so approx-built
+    /// indexes also keep their looseness bound across commits.
     pub fn effective_delta(&self) -> f64 {
         self.delta.max(self.approx_epsilon)
     }

@@ -506,10 +506,10 @@ pub trait ProbNnEngine: Step1Engine {
         scratch: &mut FetchScratch,
     ) -> u64;
 
-    /// Validates `q` against the engine: dimensionality must match and at
-    /// least one object must be indexed. Shared by every evaluation entry
-    /// point; call it directly before a raw [`Step1Engine::step1`] when
-    /// bypassing the driver.
+    /// Validates `q` against the engine: at least one object must be
+    /// indexed, the dimensionality must match, and every coordinate must be
+    /// finite. Shared by every evaluation entry point; call it directly
+    /// before a raw [`Step1Engine::step1`] when bypassing the driver.
     fn validate_point(&self, q: &Point) -> Result<(), QueryError> {
         if self.is_empty() {
             return Err(QueryError::EmptyDatabase);
@@ -520,6 +520,9 @@ pub trait ProbNnEngine: Step1Engine {
                 expected,
                 got: q.dim(),
             });
+        }
+        if !q.coords().iter().all(|c| c.is_finite()) {
+            return Err(QueryError::NonFinitePoint);
         }
         Ok(())
     }
@@ -532,8 +535,9 @@ pub trait ProbNnEngine: Step1Engine {
     ///
     /// # Errors
     /// [`QueryError::DimensionMismatch`] when `q` does not match the
-    /// indexed data's dimensionality; [`QueryError::EmptyDatabase`] when
-    /// nothing is indexed.
+    /// indexed data's dimensionality; [`QueryError::NonFinitePoint`] when a
+    /// coordinate of `q` is NaN or infinite; [`QueryError::EmptyDatabase`]
+    /// when nothing is indexed.
     fn execute(&self, q: &Point, spec: &QuerySpec) -> Result<QueryOutcome, QueryError> {
         let mut out = QueryOutcome::default();
         self.execute_into(q, spec, &mut QueryScratch::default(), &mut out)?;

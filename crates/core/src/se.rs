@@ -17,12 +17,6 @@
 //! domination-count test, the invariant `h(o) ⊇ V(o)` holds throughout —
 //! this is the soundness property the integration tests verify.
 //!
-//! The warm-started variants of §VI-B are obtained through [`SeBounds`]:
-//! deletion recomputation starts from `l = B(S,o)` (the cell can only grow,
-//! and even an overshooting `l` is harmless because only `h` carries the
-//! correctness guarantee), insertion recomputation starts from
-//! `h = B(S,o)` (the cell can only shrink).
-//!
 //! **Approximate-UBR mode (PR 8).** Callers opting into
 //! [`PvParams::approx_ubr`](crate::PvParams::approx_ubr) simply pass a
 //! relaxed threshold (`effective_delta() = max(Δ, ε)`) — SE itself needs no
@@ -39,40 +33,6 @@ use pv_geom::{DominationRun, DominationStats, HyperRect};
 use pv_uncertain::UncertainObject;
 use std::time::Instant;
 
-/// Initial bounds for an SE run.
-#[derive(Debug, Clone, Default)]
-pub struct SeBounds {
-    /// Lower bound `l(o)`; defaults to `u(o)`.
-    pub lower: Option<HyperRect>,
-    /// Upper bound `h(o)`; defaults to the domain `D`.
-    pub upper: Option<HyperRect>,
-}
-
-impl SeBounds {
-    /// Fresh construction: `l = u(o)`, `h = D`.
-    pub fn fresh() -> Self {
-        Self::default()
-    }
-
-    /// Warm start for deletion maintenance: the old UBR seeds the lower
-    /// bound (the PV-cell cannot shrink when an object disappears, Lemma 9).
-    pub fn after_deletion(old_ubr: HyperRect) -> Self {
-        Self {
-            lower: Some(old_ubr),
-            upper: None,
-        }
-    }
-
-    /// Warm start for insertion maintenance: the old UBR seeds the upper
-    /// bound (the PV-cell cannot grow when an object appears, Lemma 9).
-    pub fn after_insertion(old_ubr: HyperRect) -> Self {
-        Self {
-            lower: None,
-            upper: Some(old_ubr),
-        }
-    }
-}
-
 /// Runs SE for `o` against a previously selected candidate set, returning
 /// the UBR and per-run statistics.
 ///
@@ -80,30 +40,6 @@ impl SeBounds {
 /// of the domination-count estimation (Table I).
 pub fn compute_ubr(
     o: &UncertainObject,
-    domain: &HyperRect,
-    cset: &CandidateSet,
-    delta: f64,
-    mmax: usize,
-) -> (HyperRect, SeStats) {
-    se_core(
-        &o.region,
-        o.region.clone(),
-        domain.clone(),
-        domain,
-        cset,
-        delta,
-        mmax,
-    )
-}
-
-/// The SE loop. `target` is the true uncertainty region `u(o)` used by all
-/// domination tests (the only thing soundness depends on); `l0`/`h0` are the
-/// initial bounds, which the warm-started variants may seed with old UBRs.
-#[allow(clippy::too_many_arguments)]
-fn se_core(
-    target: &HyperRect,
-    l0: HyperRect,
-    h0: HyperRect,
     domain: &HyperRect,
     cset: &CandidateSet,
     delta: f64,
@@ -119,13 +55,11 @@ fn se_core(
     // One run per SE invocation: flattens the candidate set once and carries
     // the move-to-front candidate order across slab tests (see
     // `DominationRun`); results are identical to the stateless form.
-    let mut dom_run = DominationRun::new(&cset.regions, target);
+    let mut dom_run = DominationRun::new(&cset.regions, &o.region);
 
-    let mut h = h0;
-    let mut l = l0;
-    // Warm starts may hand us an `l` outside `h` (never happens with the
-    // paper's own bounds, but clamp defensively).
-    clamp_into(&mut l, &h);
+    // Algorithm 1's initial bounds: h = D, l = u(o) (Lemma 5).
+    let mut h = domain.clone();
+    let mut l = o.region.clone();
 
     // Gap for direction (j, high?) — distance between the h and l planes.
     let gap = |h: &HyperRect, l: &HyperRect, j: usize, high: bool| -> f64 {
@@ -202,33 +136,6 @@ fn se_core(
     stats.partitions = dom_stats.partitions.get();
     stats.refine_time = started.elapsed();
     (h, stats)
-}
-
-/// Variant taking explicit initial bounds (incremental maintenance, §VI-B).
-///
-/// The bounds only reposition the starting rectangles — all domination
-/// tests still run against the true `u(o)`, so `h` keeps the conservative
-/// invariant regardless of the seeds (this is the paper's footnote 4:
-/// "Even if `B(S,o)` is larger than `M(S′,o)`, SE is still correct").
-pub fn compute_ubr_with_bounds(
-    o: &UncertainObject,
-    domain: &HyperRect,
-    cset: &CandidateSet,
-    delta: f64,
-    mmax: usize,
-    bounds: SeBounds,
-) -> (HyperRect, SeStats) {
-    let h0 = bounds.upper.unwrap_or_else(|| domain.clone());
-    let l0 = bounds.lower.unwrap_or_else(|| o.region.clone());
-    se_core(&o.region, l0, h0, domain, cset, delta, mmax)
-}
-
-fn clamp_into(inner: &mut HyperRect, outer: &HyperRect) {
-    let (ilo, ihi) = inner.corners_mut();
-    for (((l, h), &ol), &oh) in ilo.iter_mut().zip(ihi).zip(outer.lo()).zip(outer.hi()) {
-        *l = l.max(ol);
-        *h = h.min(oh).max(*l);
-    }
 }
 
 #[cfg(test)]
@@ -381,78 +288,6 @@ mod tests {
             "slab tests {} exceed bound {bound}",
             stats.slab_tests
         );
-    }
-
-    #[test]
-    fn warm_start_deletion_matches_fresh_run() {
-        // After a deletion the PV-cell grows; seeding l with the old UBR
-        // must still produce a conservative rectangle (equal or larger than
-        // the fresh run's, never smaller than the true cell).
-        let (domain, objects) = random_db(40, 6);
-        let o = &objects[5];
-        // database without object 11 ≈ post-deletion state
-        let remaining: Vec<UncertainObject> =
-            objects.iter().filter(|x| x.id != 11).cloned().collect();
-        let cset_before = full_cset(o, &objects);
-        let (old_ubr, _) = compute_ubr(o, &domain, &cset_before, 0.5, 10);
-        let cset_after = full_cset(o, &remaining);
-        let (fresh, _) = compute_ubr(o, &domain, &cset_after, 0.5, 10);
-        let (warm, _) = compute_ubr_with_bounds(
-            o,
-            &domain,
-            &cset_after,
-            0.5,
-            10,
-            SeBounds::after_deletion(old_ubr),
-        );
-        // Both must be conservative; warm may be slightly looser but must
-        // contain the fresh result's guarantee region u(o).
-        assert!(warm.contains_rect(&o.region));
-        assert!(fresh.contains_rect(&o.region));
-        // Warm must contain every possible-NN point too (spot check).
-        let mut rng = StdRng::seed_from_u64(123);
-        for _ in 0..300 {
-            let p = Point::new(vec![rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]);
-            if can_be_nn(o, &remaining, &p) {
-                assert!(warm.contains_point(&p));
-            }
-        }
-    }
-
-    #[test]
-    fn warm_start_insertion_shrinks_within_old_ubr() {
-        let (domain, mut objects) = random_db(40, 7);
-        let o = objects[5].clone();
-        let cset_before = full_cset(&o, &objects);
-        let (old_ubr, _) = compute_ubr(&o, &domain, &cset_before, 0.5, 10);
-        // insert a new object near o: the cell can only shrink
-        let newbie = UncertainObject::uniform(
-            999,
-            mk(
-                &[o.region.lo()[0] + 6.0, o.region.lo()[1]],
-                &[o.region.lo()[0] + 8.0, o.region.lo()[1] + 2.0],
-            ),
-            8,
-        );
-        objects.push(newbie);
-        let cset_after = full_cset(&o, &objects);
-        let (warm, _) = compute_ubr_with_bounds(
-            &o,
-            &domain,
-            &cset_after,
-            0.5,
-            10,
-            SeBounds::after_insertion(old_ubr.clone()),
-        );
-        assert!(old_ubr.contains_rect(&warm), "insertion can only shrink");
-        assert!(warm.contains_rect(&o.region));
-        let mut rng = StdRng::seed_from_u64(321);
-        for _ in 0..300 {
-            let p = Point::new(vec![rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]);
-            if can_be_nn(&o, &objects, &p) {
-                assert!(warm.contains_point(&p));
-            }
-        }
     }
 
     #[test]

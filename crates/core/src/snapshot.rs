@@ -14,7 +14,7 @@
 //! "PVSN" | kind | version: u16 | payload … | fnv1a64 checksum: u64
 //! ```
 //!
-//! PV-index payload (kind `PVIX`, version 1), in order: [`PvParams`],
+//! PV-index payload (kind `PVIX`, version 4), in order: [`PvParams`],
 //! domain, [`BuildStats`], object catalog (ids ascending), UBR catalog (same
 //! order), raw [`MemPager`] image, octree arena
 //! ([`pv_octree::Octree::to_snapshot`]) and hash directory
@@ -53,14 +53,16 @@ use std::time::Duration;
 pub const PV_INDEX_KIND: [u8; 4] = *b"PVIX";
 /// Artifact kind of R-tree baseline snapshots.
 pub const RTREE_KIND: [u8; 4] = *b"PVRT";
-/// Highest PV-index snapshot version this build reads and the version it
-/// writes. Version 3 (PR 8) is *canonical*: the disk image is re-emitted
+/// The one PV-index snapshot version this build reads and writes.
+/// Since version 3 the format is *canonical*: the disk image is re-emitted
 /// from the logical state at save time, wall-clock durations are zeroed and
-/// `build_threads` is no longer stored, so any two logically equal indexes —
+/// `build_threads` is not stored, so any two logically equal indexes —
 /// bulk- or legacy-built, at any thread count — serialise to identical
-/// bytes. Version-2 files embedded the build-order-dependent page image and
-/// are rejected rather than mis-decoded (their params layout also differs).
-pub const PV_INDEX_VERSION: u16 = 3;
+/// bytes. Version 4 dropped the two commit-path parameters (a separate
+/// update candidate set and a re-tightening budget) from the params block.
+/// Older files are rejected rather than mis-decoded: their params layouts
+/// differ, and version 2 also embedded a build-order-dependent page image.
+pub const PV_INDEX_VERSION: u16 = 4;
 /// Highest R-tree baseline snapshot version this build reads/writes.
 /// Version 2 (PR 5) added the stored domain; version-1 files (no domain,
 /// different byte layout) are rejected rather than mis-decoded.
@@ -212,9 +214,9 @@ fn put_params(out: &mut Vec<u8>, p: &PvParams) {
     codec::put_u32_len(out, p.page_size);
     codec::put_u64(out, p.mem_budget as u64);
     codec::put_u32_len(out, p.rtree_fanout);
-    // Snapshot v3 deliberately omits `build_threads`: the thread count
-    // shapes nothing in the artifact (builds are deterministic across it),
-    // and storing it would make otherwise-identical indexes differ.
+    // Since v3, snapshots deliberately omit `build_threads`: the thread
+    // count shapes nothing in the artifact (builds are deterministic across
+    // it), and storing it would make otherwise-identical indexes differ.
     match p.ubr_quantize_steps {
         None => codec::put_u16(out, 0),
         Some(steps) => {
@@ -222,13 +224,8 @@ fn put_params(out: &mut Vec<u8>, p: &PvParams) {
             codec::put_u16(out, steps);
         }
     }
-    // Snapshot v2 (PR 6): commit-path maintenance tuning. The budget is a
-    // full u64 since v3 — `usize::MAX` is a legitimate "unbounded" setting
-    // and must survive a snapshot round trip (the u32 prefix panicked on it).
-    put_cset(out, p.update_cset);
-    codec::put_u64(out, p.update_budget as u64);
-    // Snapshot v3 (PR 8): approximate-UBR threshold, so a loaded index keeps
-    // relaxing SE the same way on its update paths.
+    // Approximate-UBR threshold, so a loaded index keeps relaxing SE the
+    // same way when it inserts.
     codec::put_f64(out, p.approx_epsilon);
 }
 
@@ -286,8 +283,6 @@ fn try_params(r: &mut codec::Reader) -> Result<PvParams, DecodeError> {
             })
         }
     };
-    let update_cset = try_cset(r)?;
-    let update_budget = r.try_usize("update budget")?;
     let approx_epsilon = r.try_f64()?;
     if !(approx_epsilon.is_finite() && approx_epsilon >= 0.0) {
         return Err(DecodeError::Invalid {
@@ -301,12 +296,11 @@ fn try_params(r: &mut codec::Reader) -> Result<PvParams, DecodeError> {
         page_size,
         mem_budget,
         rtree_fanout,
-        // Not stored (v3): the thread count is a build-machine choice, not
-        // index state. A loaded index defaults to serial rebuilds.
+        // Not stored (since v3): the thread count is a build-machine
+        // choice, not index state. A loaded index defaults to serial
+        // rebuilds.
         build_threads: 1,
         ubr_quantize_steps,
-        update_cset,
-        update_budget,
         approx_epsilon,
     })
 }
@@ -389,9 +383,10 @@ pub fn pv_index_from_bytes(bytes: &[u8]) -> Result<PvIndex, DecodeError> {
     let (mut r, version) =
         open_snapshot(bytes, PV_INDEX_KIND, "PV-index snapshot", PV_INDEX_VERSION)?;
     if version < PV_INDEX_VERSION {
-        // Pre-v3 files store `build_threads` inside the params block and a
-        // non-canonical page image; their bytes cannot be decoded by this
-        // layout, so reject cleanly instead of reading garbage.
+        // Older params blocks carry fields this layout does not (v3: the
+        // update candidate set and budget; v2 also `build_threads` and a
+        // non-canonical page image), so reject cleanly instead of reading
+        // garbage.
         return Err(DecodeError::UnsupportedVersion {
             context: "PV-index snapshot",
             found: version,
@@ -445,9 +440,6 @@ pub fn pv_index_from_bytes(bytes: &[u8]) -> Result<PvIndex, DecodeError> {
         ubrs,
         mean_tree,
         build_stats,
-        // The maintenance queue is a runtime tightness hint, not logical
-        // state: a loaded index starts with nothing queued.
-        stale: Default::default(),
     })
 }
 

@@ -109,12 +109,15 @@ impl BuildStats {
 pub struct UpdateStats {
     /// Total wall-clock time of the update (the paper's `Tu`).
     pub time: Duration,
-    /// Objects returned by the primary-index range query.
+    /// Objects that survived the Lemma-8 filters of a deletion's
+    /// primary-index range query. The PV-index runs that query only on
+    /// deletion, so an insertion reports 0.
     pub scanned: usize,
-    /// Objects that survived the Lemma-8 filters (UBRs recomputed).
+    /// Objects whose UBRs a deletion grew by the union bound (the same set
+    /// as `scanned`); 0 for an insertion, which leaves its neighbours'
+    /// UBRs as they are.
     pub affected: usize,
-    /// Aggregated SE work for the recomputations (+ the new object's UBR
-    /// on insertion).
+    /// SE work: the new object's one run on insertion; none on deletion.
     pub se: SeStats,
 }
 

@@ -202,21 +202,16 @@ impl WritableEngine for LinearScan {
         })
     }
 
-    fn apply_rebuild(&mut self) -> BuildStats {
+    /// Nothing derived to rebuild: the successor is a copy of the catalog.
+    fn rebuilt(&self) -> (Self, BuildStats) {
         let t0 = Instant::now();
-        // Nothing derived to rebuild; re-densify the id map for parity with
-        // the indexed engines' contract.
-        self.by_id = self
-            .objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.id, i))
-            .collect();
-        BuildStats {
+        let fresh = self.clone();
+        let stats = BuildStats {
             total_time: t0.elapsed(),
-            ubr_count: self.objects.len(),
+            ubr_count: fresh.objects.len(),
             ..Default::default()
-        }
+        };
+        (fresh, stats)
     }
 }
 

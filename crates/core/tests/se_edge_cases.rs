@@ -3,7 +3,7 @@
 
 use pv_core::cset::{build_mean_tree, choose_cset, CandidateSet};
 use pv_core::params::CSetStrategy;
-use pv_core::se::{compute_ubr, compute_ubr_with_bounds, SeBounds};
+use pv_core::se::compute_ubr;
 use pv_geom::HyperRect;
 use pv_uncertain::UncertainObject;
 use std::collections::HashMap;
@@ -87,47 +87,6 @@ fn mmax_one_can_never_split() {
     let (ubr, _) = compute_ubr(&a, &domain, &cs, 1.0, 1);
     assert!(ubr.contains_rect(&a.region));
     assert!(ubr.volume() < domain.volume(), "some slab must be provable");
-}
-
-#[test]
-fn empty_cset_with_bounds_returns_upper() {
-    let domain = HyperRect::cube(2, 0.0, 100.0);
-    let a = mk(1, &[40.0, 40.0], &[45.0, 45.0]);
-    let upper = HyperRect::new(vec![20.0, 20.0], vec![70.0, 70.0]);
-    let cs = CandidateSet {
-        ids: vec![],
-        regions: vec![],
-    };
-    let (ubr, _) = compute_ubr_with_bounds(
-        &a,
-        &domain,
-        &cs,
-        1.0,
-        10,
-        SeBounds::after_insertion(upper.clone()),
-    );
-    assert_eq!(
-        ubr, upper,
-        "nothing can shrink below the seeded upper bound"
-    );
-}
-
-#[test]
-fn warm_lower_bound_larger_than_upper_is_clamped() {
-    // Defensive path: a stale lower bound exceeding the upper seed must not
-    // panic or produce an inverted rectangle.
-    let domain = HyperRect::cube(2, 0.0, 100.0);
-    let a = mk(1, &[40.0, 40.0], &[45.0, 45.0]);
-    let b = mk(2, &[80.0, 80.0], &[82.0, 82.0]);
-    let objects = vec![a.clone(), b];
-    let cs = cset_of(&objects, &a);
-    let bounds = SeBounds {
-        lower: Some(HyperRect::new(vec![0.0, 0.0], vec![100.0, 100.0])),
-        upper: Some(HyperRect::new(vec![30.0, 30.0], vec![60.0, 60.0])),
-    };
-    let (ubr, _) = compute_ubr_with_bounds(&a, &domain, &cs, 1.0, 10, bounds);
-    assert!(ubr.lo()[0] <= ubr.hi()[0]);
-    assert!(ubr.contains_rect(&a.region));
 }
 
 #[test]

@@ -11,9 +11,7 @@
 //!   to rectangle `B` ([`dominates`]);
 //! * *domination-count estimation* ([`region_fully_dominated`]): a budgeted
 //!   recursive partitioning of `R` proving `R ∩ I(Cset, o) = ∅`, i.e. that the
-//!   whole region is covered by the dominated union `U(Cset, o)` (§V-B);
-//! * bisector utilities for the hyperplane `H_{a,b}` of Equation (1), used by
-//!   tests and the naive verifier.
+//!   whole region is covered by the dominated union `U(Cset, o)` (§V-B).
 //!
 //! All distance computations are done on **squared** distances where possible
 //! to avoid `sqrt` in hot loops; public helpers expose both forms.
@@ -25,7 +23,6 @@
 
 pub mod dist;
 pub mod domination;
-pub mod hyperplane;
 pub mod point;
 pub mod quantize;
 pub mod rect;
@@ -34,7 +31,6 @@ pub use dist::{max_dist, max_dist_sq, max_dist_sq_rr, min_dist, min_dist_sq, min
 pub use domination::{
     dominates, point_dominated, region_fully_dominated, DominationRun, DominationStats,
 };
-pub use hyperplane::{bisector_side, BisectorSide};
 pub use point::Point;
 pub use quantize::{snap_outward, QuantizedRect};
 pub use rect::HyperRect;

@@ -63,30 +63,6 @@ impl Point {
     pub fn dist(&self, other: &Point) -> f64 {
         self.dist_sq(other).sqrt()
     }
-
-    /// Component-wise midpoint between two points.
-    pub fn midpoint(&self, other: &Point) -> Point {
-        debug_assert_eq!(self.dim(), other.dim());
-        Point::new(
-            self.coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| 0.5 * (a + b))
-                .collect(),
-        )
-    }
-
-    /// Returns `self + t * (other - self)`.
-    pub fn lerp(&self, other: &Point, t: f64) -> Point {
-        debug_assert_eq!(self.dim(), other.dim());
-        Point::new(
-            self.coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| a + t * (b - a))
-                .collect(),
-        )
-    }
 }
 
 impl Deref for Point {
@@ -139,15 +115,6 @@ mod tests {
         let b = Point::new(vec![3.0, 4.0]);
         assert_eq!(a.dist_sq(&b), 25.0);
         assert_eq!(a.dist(&b), 5.0);
-    }
-
-    #[test]
-    fn midpoint_and_lerp() {
-        let a = Point::new(vec![0.0, 2.0]);
-        let b = Point::new(vec![4.0, 6.0]);
-        assert_eq!(a.midpoint(&b).coords(), &[2.0, 4.0]);
-        assert_eq!(a.lerp(&b, 0.25).coords(), &[1.0, 3.0]);
-        assert_eq!(a.lerp(&b, 1.0).coords(), b.coords());
     }
 
     #[test]

@@ -90,14 +90,6 @@ impl HyperRect {
         &mut self.hi
     }
 
-    /// Both corners, mutably — lets per-dimension updates that read one
-    /// corner while writing the other iterate in lockstep instead of
-    /// index-pairing two separate borrows.
-    #[inline]
-    pub fn corners_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.lo, &mut self.hi)
-    }
-
     /// Side length along dimension `j`.
     #[inline]
     pub fn extent(&self, j: usize) -> f64 {

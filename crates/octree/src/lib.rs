@@ -252,10 +252,9 @@ impl<P: Pager> Octree<P> {
             // themselves. Otherwise every descendant inherits the full
             // overflow and the redistribution recursion cascades towards the
             // depth cap (each level copying the core into 2^d children).
-            // That happens under deletion storms, where deferred maintenance
-            // leaves many catalog UBRs temporarily loose; chaining pages
-            // keeps those leaves flat until `maintain` re-tightens the boxes
-            // and `remove_delta` shrinks the chains back.
+            // That happens under deletion storms, where the union bound
+            // leaves many catalog UBRs loose; chaining pages keeps those
+            // leaves flat until a rebuild re-tightens the boxes.
             let center = region.center();
             let core = {
                 let list = match self.nodes[node as usize].as_ref() {
@@ -458,13 +457,12 @@ impl<P: Pager> Octree<P> {
     /// not already hold a record of the same id (dedup by scanning the
     /// leaf once for the whole batch).
     ///
-    /// Unlike [`Octree::insert_delta`] this makes no assumption about where
-    /// the records currently live, so a caller can extend objects' leaf
-    /// coverage by an arbitrary rectangle. The deletion-maintenance path
-    /// uses it to register all affected neighbours exactly where they can
-    /// newly win — the removed object's UBR — instead of everywhere under
-    /// the (potentially huge) bounding box of each neighbour's union, and
-    /// in one traversal instead of one per neighbour.
+    /// It makes no assumption about where the records currently live, so a
+    /// caller can extend objects' leaf coverage by an arbitrary rectangle.
+    /// The deletion path uses it to register all affected neighbours exactly
+    /// where they can newly win — the removed object's UBR — instead of
+    /// everywhere under the (potentially huge) bounding box of each
+    /// neighbour's union, and in one traversal instead of one per neighbour.
     pub fn insert_covering(
         &mut self,
         cover: &HyperRect,
@@ -533,110 +531,6 @@ impl<P: Pager> Octree<P> {
                         return;
                     }
                     self.leaf_insert(node, region.clone(), record, ubr_lookup, depth);
-                }
-            }
-        }
-    }
-
-    /// Registers a record in exactly the leaves overlapping `new_ubr` but not
-    /// `old_ubr` (the `N' − N` set of the paper's incremental update). The
-    /// caller guarantees the record is already present in leaves overlapping
-    /// `old_ubr`.
-    pub fn insert_delta(
-        &mut self,
-        old_ubr: &HyperRect,
-        new_ubr: &HyperRect,
-        record: &[u8],
-        ubr_lookup: &dyn Fn(u64) -> HyperRect,
-    ) {
-        self.insert_delta_rec(
-            self.root,
-            self.domain.clone(),
-            old_ubr,
-            new_ubr,
-            record,
-            ubr_lookup,
-            0,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn insert_delta_rec(
-        &mut self,
-        node: u32,
-        region: HyperRect,
-        old_ubr: &HyperRect,
-        new_ubr: &HyperRect,
-        record: &[u8],
-        ubr_lookup: &dyn Fn(u64) -> HyperRect,
-        depth: usize,
-    ) {
-        match self.nodes[node as usize].as_ref() {
-            ONode::Internal(children) => {
-                let children = children.clone();
-                for (i, child_region) in region.octants().into_iter().enumerate() {
-                    if child_region.intersects(new_ubr) {
-                        self.insert_delta_rec(
-                            children[i],
-                            child_region,
-                            old_ubr,
-                            new_ubr,
-                            record,
-                            ubr_lookup,
-                            depth + 1,
-                        );
-                    }
-                }
-            }
-            ONode::Leaf { .. } => {
-                // A leaf already containing the record (region ∩ old ≠ ∅)
-                // is skipped: N' − N.
-                if !region.intersects(old_ubr) {
-                    self.leaf_insert(node, region, record, ubr_lookup, depth);
-                }
-            }
-        }
-    }
-
-    /// Removes the record of `id` from leaves overlapping `old_ubr` but not
-    /// `new_ubr` (the `N − N'` set used when a PV-cell shrinks on insertion).
-    pub fn remove_delta(&mut self, old_ubr: &HyperRect, new_ubr: &HyperRect, id: u64) -> usize {
-        self.remove_delta_rec(self.root, self.domain.clone(), old_ubr, new_ubr, id)
-    }
-
-    fn remove_delta_rec(
-        &mut self,
-        node: u32,
-        region: HyperRect,
-        old_ubr: &HyperRect,
-        new_ubr: &HyperRect,
-        id: u64,
-    ) -> usize {
-        match self.nodes[node as usize].as_ref() {
-            ONode::Internal(children) => {
-                let children = children.clone();
-                let mut removed = 0;
-                for (i, child_region) in region.octants().into_iter().enumerate() {
-                    if child_region.intersects(old_ubr) {
-                        removed +=
-                            self.remove_delta_rec(children[i], child_region, old_ubr, new_ubr, id);
-                    }
-                }
-                removed
-            }
-            ONode::Leaf { .. } => {
-                if region.intersects(new_ubr) {
-                    return 0; // stays registered here
-                }
-                match Arc::make_mut(&mut self.nodes[node as usize]) {
-                    ONode::Leaf { list, entries } => {
-                        let removed = list.retain(&self.pager, |rec| {
-                            u64::from_le_bytes(rec[0..8].try_into().expect("record has id")) != id
-                        });
-                        *entries -= removed as u32;
-                        removed
-                    }
-                    ONode::Internal(_) => unreachable!(),
                 }
             }
         }
@@ -1376,77 +1270,6 @@ mod tests {
             insert_all(&mut tree2, &objs);
             tree2.stats().leaf_records - removed
         });
-    }
-
-    #[test]
-    fn insert_delta_only_touches_new_leaves() {
-        let mut tree = mk_tree(1 << 20);
-        let objs = random_objects(400, 23);
-        insert_all(&mut tree, &objs);
-        let lookup_src: std::collections::HashMap<u64, HyperRect> = objs.iter().cloned().collect();
-        let old = HyperRect::new(vec![10.0, 10.0], vec![20.0, 20.0]);
-        let new = HyperRect::new(vec![10.0, 10.0], vec![40.0, 40.0]);
-        let id = 9999u64;
-        let lookup = {
-            let old = old.clone();
-            move |i: u64| {
-                if i == id {
-                    old.clone()
-                } else {
-                    lookup_src[&i].clone()
-                }
-            }
-        };
-        tree.insert(&old, &encode_leaf_record(id, &old), &lookup);
-        let before = tree.stats().leaf_records;
-        tree.insert_delta(&old, &new, &encode_leaf_record(id, &old), &lookup);
-        let after = tree.stats().leaf_records;
-        assert!(after >= before, "delta insert never removes");
-        // object must now be found across the whole new UBR
-        let q = Point::new(vec![35.0, 35.0]);
-        let got: Vec<u64> = tree
-            .point_query(&q)
-            .iter()
-            .map(|r| decode_leaf_record(r, 2).unwrap().0)
-            .collect();
-        assert!(got.contains(&id));
-    }
-
-    #[test]
-    fn remove_delta_keeps_surviving_leaves() {
-        let mut tree = mk_tree(1 << 20);
-        let objs = random_objects(400, 29);
-        insert_all(&mut tree, &objs);
-        let lookup_src: std::collections::HashMap<u64, HyperRect> = objs.iter().cloned().collect();
-        let old = HyperRect::new(vec![10.0, 10.0], vec![60.0, 60.0]);
-        let new = HyperRect::new(vec![10.0, 10.0], vec![25.0, 25.0]);
-        let id = 8888u64;
-        let lookup = {
-            let old = old.clone();
-            move |i: u64| {
-                if i == id {
-                    old.clone()
-                } else {
-                    lookup_src[&i].clone()
-                }
-            }
-        };
-        tree.insert(&old, &encode_leaf_record(id, &old), &lookup);
-        tree.remove_delta(&old, &new, id);
-        // still present inside the new UBR…
-        let got: Vec<u64> = tree
-            .point_query(&Point::new(vec![15.0, 15.0]))
-            .iter()
-            .map(|r| decode_leaf_record(r, 2).unwrap().0)
-            .collect();
-        assert!(got.contains(&id), "must remain in kept region");
-        // …gone far outside it
-        let got: Vec<u64> = tree
-            .point_query(&Point::new(vec![55.0, 55.0]))
-            .iter()
-            .map(|r| decode_leaf_record(r, 2).unwrap().0)
-            .collect();
-        assert!(!got.contains(&id), "must be gone from dropped region");
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! * both agree with the `LinearScan` ground truth (exactly for the exact
 //!   engines, at high recall for the approximate UV-index);
 //! * `query_batch` (sequential and parallel) matches per-query execution;
-//! * Step-2 early termination never changes a reported probability.
+//! * Step-2 early termination never changes a reported probability;
+//! * a query point with a NaN or infinite coordinate is rejected.
 
 use pv_suite::core::baseline::RTreeBaseline;
-use pv_suite::core::{verify, LinearScan, ProbNnEngine, PvIndex, PvParams, QuerySpec};
+use pv_suite::core::{
+    verify, Db, LinearScan, ProbNnEngine, PvIndex, PvParams, QueryError, QueryOutcome,
+    QueryScratch, QuerySpec,
+};
 use pv_suite::geom::Point;
 use pv_suite::uncertain::UncertainDb;
 use pv_suite::uvindex::{UvIndex, UvParams};
@@ -240,4 +244,60 @@ fn early_termination_saves_payload_io_somewhere() {
         "expected early termination to skip at least one payload"
     );
     assert!(io_pruned < io_full, "pruning should save Step-2 I/O");
+}
+
+/// Every entry point rejects a query point with a NaN or infinite
+/// coordinate as [`QueryError::NonFinitePoint`]: with such a point the
+/// min/max-distance filter prunes nothing, so every object would come back
+/// as an answer with a meaningless probability.
+#[test]
+fn non_finite_points_are_rejected() {
+    fn check<E: ProbNnEngine + Sync>(engine: E) {
+        let name = engine.engine_name();
+        let good = Point::new(vec![5_000.0, 5_000.0]);
+        let db = Db::new(engine);
+        let reader = db.reader();
+        let engine = reader.engine();
+        for bad in [
+            Point::new(vec![f64::NAN, 11.0]),
+            Point::new(vec![11.0, f64::INFINITY]),
+            Point::new(vec![f64::NEG_INFINITY, f64::NAN]),
+        ] {
+            let spec = QuerySpec::new();
+            assert_eq!(
+                engine.execute(&bad, &spec).err(),
+                Some(QueryError::NonFinitePoint),
+                "{name}: execute at {bad:?}"
+            );
+            let mut out = QueryOutcome::default();
+            engine
+                .execute_into(&good, &spec, &mut QueryScratch::default(), &mut out)
+                .unwrap();
+            assert!(!out.answers.is_empty());
+            assert_eq!(
+                engine.execute_into(&bad, &spec, &mut QueryScratch::default(), &mut out),
+                Err(QueryError::NonFinitePoint),
+                "{name}: execute_into at {bad:?}"
+            );
+            assert!(
+                out.answers.is_empty(),
+                "{name}: a rejected query leaves `out` cleared"
+            );
+            assert_eq!(
+                engine
+                    .query_batch(&[good.clone(), bad.clone()], &spec)
+                    .err(),
+                Some(QueryError::NonFinitePoint),
+                "{name}: query_batch with {bad:?}"
+            );
+            assert_eq!(
+                db.query(&bad, &spec).err(),
+                Some(QueryError::NonFinitePoint),
+                "{name}: Db::query at {bad:?}"
+            );
+        }
+    }
+    let db = db2d(20, 61);
+    check(LinearScan::new(&db));
+    check(PvIndex::build(&db, PvParams::default()));
 }

@@ -12,6 +12,12 @@
 //!   WAL: recovery must succeed, land on an acknowledged version, lose no
 //!   commit whose bytes were fully on disk at the cut, and reproduce that
 //!   version's engine byte-for-byte.
+//! * **Recovery across snapshot rotation** (proptest, dims 2–4): with a
+//!   small drawn `compact_after_commits`, interleaved inserts and removes
+//!   write new snapshot generations mid-sequence. After a crash behind the
+//!   last commit, recovery loads the newest generation, replays the log
+//!   past it, and must rebuild the live engine byte-for-byte — the index
+//!   may keep no state that a snapshot drops.
 //! * **Acknowledged states answer like the ground truth**: every recorded
 //!   version is cross-checked against a `LinearScan` over its object set,
 //!   so the byte-equality above transfers query correctness to every
@@ -84,6 +90,14 @@ struct Acked {
     durable_at: u64,
 }
 
+/// `opts()` with snapshot rotation after every `every` commits.
+fn rotating_opts(every: u64) -> DurableOptions {
+    DurableOptions {
+        compact_after_commits: every,
+        ..opts()
+    }
+}
+
 /// Runs `steps` random commits against a fresh durable PvIndex in `dir`,
 /// returning the per-version acknowledgement record (index = version).
 fn run_commits(
@@ -92,8 +106,9 @@ fn run_commits(
     pool: Vec<UncertainObject>,
     steps: usize,
     rng: &mut StdRng,
+    opts: DurableOptions,
 ) -> Vec<Acked> {
-    let db = DurableDb::create(dir, PvIndex::build(base, PvParams::default()), opts()).unwrap();
+    let db = DurableDb::create(dir, PvIndex::build(base, PvParams::default()), opts).unwrap();
     let mut shadow = base.objects.clone();
     let mut acked = vec![Acked {
         objects: shadow.clone(),
@@ -143,7 +158,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64((seed << 8) | dim as u64);
 
         let live = fresh_dir(&format!("live_{dim}_{seed}"));
-        let acked = run_commits(&live, &base, pool, steps, &mut rng);
+        let acked = run_commits(&live, &base, pool, steps, &mut rng, opts());
         let wal_bytes = std::fs::read(live.join("wal")).unwrap();
         let snap_bytes = std::fs::read(live.join("snap.0.pvix")).unwrap();
         prop_assert_eq!(wal_bytes.len() as u64, acked.last().unwrap().durable_at);
@@ -202,6 +217,56 @@ proptest! {
     }
 }
 
+/// Runs `steps` interleaved inserts and removes with snapshot rotation
+/// every `every` commits, crashes behind the last acknowledged commit, and
+/// reopens: recovery must start from the newest generation, replay only the
+/// commits past it, and rebuild the live engine's canonical bytes. `tag`
+/// keeps concurrently running tests out of each other's directories.
+fn rotation_case(tag: &str, dim: usize, seed: u64, steps: usize, every: u64) {
+    let base = seed_db(30, dim, 900 + seed);
+    let pool = seed_db(steps, dim, 5_000 + seed).objects;
+    let mut rng = StdRng::seed_from_u64((seed << 8) | dim as u64);
+    let dir = fresh_dir(&format!("{tag}_{dim}_{seed}_{steps}_{every}"));
+    // `run_commits` drops the live database when it returns: the crash.
+    let acked = run_commits(&dir, &base, pool, steps, &mut rng, rotating_opts(every));
+    let case = format!("dim {dim}, seed {seed}, {steps} commits, rotation every {every}");
+    let (rdb, report) = DurableDb::<PvIndex>::open(&dir, rotating_opts(every))
+        .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"));
+    let steps = steps as u64;
+    assert_eq!(report.recovered_version, steps, "{case}");
+    assert_eq!(report.snapshot_version, steps / every * every, "{case}");
+    assert_eq!(report.replayed_commits, steps % every, "{case}");
+    let got = rdb.db().reader().engine().snapshot_bytes().unwrap();
+    assert!(
+        got == acked[acked.len() - 1].snapshot,
+        "{case}: the recovered engine's bytes differ from the live engine's"
+    );
+    drop(rdb);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Recovery across snapshot rotation reproduces the live engine.
+    #[test]
+    fn recovery_after_rotation_matches_the_live_bytes(
+        dim in 2usize..=4,
+        seed in 0u64..1_000,
+        steps in 5usize..=10,
+        every in 2u64..=4,
+    ) {
+        rotation_case("rot", dim, seed, steps, every);
+    }
+}
+
+/// A fixed rotation case: three commits replayed past the generation
+/// written at version 4.
+#[test]
+fn rotation_then_replay_matches_the_live_bytes() {
+    rotation_case("rot_fixed", 2, 2, 7, 4);
+}
+
 /// Snapshot-generation damage is never papered over: a truncated or
 /// bit-flipped `snap.<v>.pvix` fails recovery closed with the typed
 /// [`RecoveryError::Snapshot`] chain, and a missing directory reports
@@ -212,7 +277,7 @@ fn damaged_snapshot_fails_closed() {
     let pool = seed_db(3, 3, 5_042).objects;
     let mut rng = StdRng::seed_from_u64(42);
     let dir = fresh_dir("snapdmg");
-    let _ = run_commits(&dir, &base, pool, 3, &mut rng);
+    let _ = run_commits(&dir, &base, pool, 3, &mut rng, opts());
     let snap = std::fs::read(dir.join("snap.0.pvix")).unwrap();
 
     for cut in [0, 1, snap.len() / 4, snap.len() / 2, snap.len() - 1] {
@@ -254,7 +319,7 @@ fn mid_log_bit_flip_reports_last_durable_version() {
     let pool = seed_db(3, 2, 5_007).objects;
     let mut rng = StdRng::seed_from_u64(7);
     let dir = fresh_dir("midlog");
-    let acked = run_commits(&dir, &base, pool, 3, &mut rng);
+    let acked = run_commits(&dir, &base, pool, 3, &mut rng, opts());
 
     // Flip a byte in commit record 2's body: the record after commit 1's
     // fsync point, well before EOF (commit 3 and its marker follow).

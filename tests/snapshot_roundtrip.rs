@@ -6,7 +6,9 @@
 //! * loading is dramatically cheaper than building (the warm-restart
 //!   acceptance bar is 5×);
 //! * truncated and bit-flipped snapshot files surface `DecodeError` — never
-//!   a panic (proptest over cut points and flip positions).
+//!   a panic (proptest over cut points and flip positions);
+//! * a PV-index file of an older format version is rejected, never
+//!   mis-decoded, even when its checksum is valid.
 
 use proptest::prelude::*;
 use pv_suite::core::baseline::RTreeBaseline;
@@ -15,6 +17,8 @@ use pv_suite::core::snapshot::{
 };
 use pv_suite::core::{LinearScan, ProbNnEngine, PvIndex, PvParams, QuerySpec};
 use pv_suite::geom::Point;
+use pv_suite::storage::codec::DecodeError;
+use pv_suite::storage::fnv1a64;
 use pv_suite::uncertain::{persist, UncertainDb};
 use pv_suite::uvindex::{UvIndex, UvParams};
 use pv_suite::workload::{queries, synthetic, SyntheticConfig};
@@ -176,6 +180,27 @@ fn snapshot_bytes() -> &'static [u8] {
         let db = db2d(60, 75);
         pv_index_to_bytes(&PvIndex::build(&db, PvParams::default()))
     })
+}
+
+/// A version-3 PV-index file — the layout whose params block still held
+/// the commit-path candidate set and re-tightening budget — is rejected as
+/// `UnsupportedVersion`, even with its checksum re-sealed over the patched
+/// header.
+#[test]
+fn version_3_snapshot_is_unsupported() {
+    let mut bytes = snapshot_bytes().to_vec();
+    // Envelope: "PVSN" | kind: 4 bytes | version: u16 LE | payload | fnv1a64.
+    bytes[8..10].copy_from_slice(&3u16.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    assert!(
+        matches!(
+            pv_index_from_bytes(&bytes),
+            Err(DecodeError::UnsupportedVersion { found: 3, .. })
+        ),
+        "a re-sealed version-3 file must be rejected"
+    );
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 //! Incremental-maintenance soundness (§VI-B): after arbitrary interleavings
 //! of insertions and deletions, the incrementally maintained PV-index must
-//! answer Step 1 exactly like a naive scan and like a freshly rebuilt index.
+//! answer Step 1 exactly like a naive scan and like a freshly rebuilt index,
+//! and an inserted object's UBR must be the one a fresh build gives it.
 //! This also regression-tests the Lemma-8 erratum fix (see ARCHITECTURE.md
 //! §1).
 
@@ -100,6 +101,40 @@ fn mixed_churn_3d() {
         }
         if round % 6 == 5 {
             check(&index, &shadow, 300 + round, 6);
+        }
+    }
+}
+
+/// An insertion runs the build's own SE (same candidate set, same Δ), so
+/// after every insert the new object's UBR is exactly the one
+/// `PvIndex::build` gives it over the same objects.
+#[test]
+fn inserted_ubr_equals_the_builds() {
+    for dim in [2usize, 3] {
+        let config = |n, seed| SyntheticConfig {
+            n,
+            dim,
+            max_side: 300.0,
+            samples: 8,
+            seed,
+        };
+        let db = synthetic(&config(120, 27 + dim as u64));
+        let mut index = PvIndex::build(&db, PvParams::default());
+        let mut shadow = db.objects.clone();
+        let extra = synthetic(&config(10, 2_700 + dim as u64));
+        for (i, mut o) in extra.objects.into_iter().enumerate() {
+            o.id = 60_000 + i as u64;
+            shadow.push(o.clone());
+            index.insert(o.clone()).expect("fresh id");
+            let fresh = PvIndex::build(
+                &UncertainDb::new(index.domain().clone(), shadow.clone()),
+                PvParams::default(),
+            );
+            assert_eq!(
+                index.ubr(o.id),
+                fresh.ubr(o.id),
+                "{dim}-D insert {i}: UBR differs from the build's"
+            );
         }
     }
 }

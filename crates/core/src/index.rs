@@ -593,8 +593,8 @@ impl PvIndex {
     /// UBR stays conservative as it stands: the paper's recomputation of the
     /// affected set `A` would only re-tighten them, and that is left to
     /// [`PvIndex::rebuild`]. With no recomputation there is no affected-set
-    /// range query either, so [`UpdateStats::scanned`] and
-    /// [`UpdateStats::affected`] are 0 for an insertion.
+    /// range query either, so [`UpdateStats::affected`] is 0 for an
+    /// insertion.
     ///
     /// # Errors
     /// [`DbError::DuplicateId`] if the id already exists,
@@ -708,7 +708,6 @@ impl PvIndex {
 
         Ok(UpdateStats {
             time: t0.elapsed(),
-            scanned: affected.len(),
             affected: affected.len(),
             ..Default::default()
         })

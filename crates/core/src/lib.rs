@@ -16,7 +16,7 @@
 //! * [`prob`] — PNNQ **Step 2**: qualification probabilities from discrete
 //!   instances (the method of Cheng et al., the paper's reference \[8\]);
 //! * [`query`] — the **unified query API**: [`query::QuerySpec`] (point /
-//!   threshold / top-k / Step-1-only / I/O budget), [`query::QueryOutcome`],
+//!   threshold / top-k / Step-1-only / batch threads), [`query::QueryOutcome`],
 //!   and the [`query::Step1Engine`] / [`query::ProbNnEngine`] traits every
 //!   engine implements, with batched parallel execution;
 //! * [`db`] — the **concurrent database facade**: [`db::Db`] publishes

@@ -34,9 +34,16 @@
 //! to its candidate's sum, which leaves the sum's bits unchanged. (This is
 //! the nonzero-NN argument of Agarwal et al. applied to instances.) The
 //! sweep therefore merges only the `K ≤ c · s` instances at or below
-//! `cutoff`: `O(c · s + K · (log K + log c))` in total. When all `K` belong
-//! to one candidate, every rival factor of its worlds is exactly `1.0`, and
-//! the sum needs neither the merge nor the tree.
+//! `cutoff`. When they all belong to one candidate, every rival factor of
+//! its worlds is exactly `1.0`, and the sum needs neither the merge nor the
+//! tree.
+//!
+//! The merge compares no floats. Each distance becomes an order key, the
+//! `f64::total_cmp` bit transform, under which unsigned integer order is
+//! `total_cmp` order. A counting pass places the kept events by the top bits
+//! of `key − min_key`, about one bucket per two events, and an insertion
+//! pass restores exact order inside each bucket: `O(c · s + K)` expected,
+//! plus the `K log c` tree walks.
 //!
 //! Both kernels combine rival factors with the *same* canonical product-tree
 //! association (see `padded_tree_product` in this module), so their outputs
@@ -154,8 +161,14 @@ fn padded_tree_product(factors: &[f64]) -> f64 {
 /// after warm-up the sweep performs no heap allocation.
 #[derive(Debug, Default, Clone)]
 pub struct ProbScratch {
-    /// Merged `(distance, candidate index)` events at or below the cutoff.
-    events: Vec<(f64, u32)>,
+    /// Each span's nearest instance as an [`order_key`]; `None` when empty.
+    nearest: Vec<Option<u64>>,
+    /// The kept `(order key, candidate index)` events, in span order.
+    gathered: Vec<(u64, u32)>,
+    /// The kept events in ascending `(order key, candidate index)` order.
+    events: Vec<(u64, u32)>,
+    /// Per-bucket offsets into `events` for the distribution pass.
+    buckets: Vec<u32>,
     /// Instances of each candidate processed so far (`|{d ≤ r}|`).
     counts: Vec<u32>,
     /// The incremental product tree (1-indexed array form).
@@ -176,87 +189,199 @@ pub struct ProbScratch {
 /// equal distance has been applied, exactly like the oracle's `d ≤ r`
 /// partition point.
 ///
-/// Only the worlds that can carry mass are swept. `cutoff` is the smallest
-/// farthest instance over the non-empty spans (each farthest a `total_cmp`
-/// maximum, which is why the order within a span does not matter). Past
-/// `cutoff`, the candidate attaining it has farther-mass `0/n = 0.0`, so
-/// every later world's rival product is `+0.0` and `p += inv_n * 0.0`
-/// leaves `p`'s bits unchanged. Only the events at or below `cutoff` (ties
-/// at it kept) are merged. If they all belong to one candidate, every
-/// rival factor of its worlds is exactly `1.0`: its sum is `n` additions of
-/// `1/n`, with no merge and no tree walk.
+/// Distances are compared as order keys: the `f64::total_cmp` bit
+/// transform, under which unsigned integer order is `total_cmp` order. One
+/// pass over each span gives its nearest and farthest key. `cutoff`, the
+/// smallest farthest key, bounds the worlds that can carry mass: past it,
+/// the candidate attaining it has farther-mass `0/n = 0.0`, so every later
+/// world's rival product is `+0.0` and `p += inv_n * 0.0` leaves `p`'s bits
+/// unchanged. The kept worlds are those at or below `cutoff`, ties at it
+/// included; IEEE `==` ties a `+0.0` to a `-0.0` cutoff, so that cutoff
+/// keeps the `+0.0` key too, the next key up. If only one span has an
+/// instance that low, every rival factor of its worlds is exactly `1.0`: its
+/// sum is `n` additions of `1/n`, with nothing gathered and no tree walk.
 ///
-/// Complexity: `O(N + K log K + K log c)` for `N` total instances, `K ≤ N`
-/// of them at or below the cutoff, and `c` candidates. The `N` term finds
-/// the cutoff and gathers the kept events, the `K log K` term is their
-/// merge (one sort), and the `K log c` term covers the tree updates and the
-/// per-world exclusion walks.
+/// Otherwise the kept events of the contributing spans are gathered and
+/// merged without comparisons between spans: a counting pass places them by
+/// the top bits of `key − min_key`, about one bucket per two events, and an
+/// insertion pass restores exact order inside each bucket. Both passes are
+/// stable, so equal keys keep their span order, which is the `(distance,
+/// candidate)` order the sweep needs.
+///
+/// Complexity: `O(N + K)` expected, plus `O(K log c)` for the tree updates
+/// and the per-world exclusion walks, for `N` total instances, `K ≤ N` of
+/// them kept, and `c` candidates. The `N` term is the per-span pass and the
+/// gather; the `K` term is the distribution merge, linear while the kept
+/// keys spread over the buckets (keys crowded into a few buckets cost up to
+/// the square of a bucket's size in the insertion pass).
 pub fn qualification_sweep_into(
     spans: &[(u64, u32, u32)],
     dists: &[f64],
     scratch: &mut ProbScratch,
     out: &mut Vec<(u64, f64)>,
 ) {
-    let span_dists = |&(_, start, len): &(u64, u32, u32)| {
-        let start = start as usize;
-        dists.get(start..start + len as usize).unwrap_or_default()
-    };
-    let cutoff = spans
-        .iter()
-        .filter_map(|span| span_dists(span).iter().copied().max_by(f64::total_cmp))
-        .min_by(f64::total_cmp);
-    scratch.events.clear();
-    if let Some(cutoff) = cutoff {
-        // Everything up to and including the tie group at `cutoff`:
-        // `total_cmp` orders like the merge below, and `==` also keeps a
-        // `+0.0` when the cutoff is `-0.0`, a pair the merge keeps apart
-        // but the sweep counts as a tie.
-        let kept = |d: &f64| d.total_cmp(&cutoff).is_le() || *d == cutoff;
-        for (ci, span) in (0u32..).zip(spans) {
-            let span_events = span_dists(span).iter().filter(|d| kept(d));
-            scratch.events.extend(span_events.map(|&d| (d, ci)));
+    scratch.nearest.clear();
+    let mut cutoff: Option<u64> = None;
+    for span in spans {
+        let span = span_dists(dists, span);
+        let (mut near, mut far) = (u64::MAX, u64::MIN);
+        for &d in span {
+            let key = order_key(d);
+            near = near.min(key);
+            far = far.max(key);
+        }
+        let filled = !span.is_empty();
+        scratch.nearest.push(filled.then_some(near));
+        if filled {
+            cutoff = Some(cutoff.map_or(far, |c| c.min(far)));
         }
     }
     scratch.probs.clear();
     scratch.probs.resize(spans.len(), 0.0);
-    // Events arrive grouped by candidate, so equal ends mean one candidate.
-    match (scratch.events.first(), scratch.events.last()) {
-        (Some(&(_, first)), Some(&(_, last))) if first == last => {
-            // No rival has an instance at or below any of this candidate's
-            // worlds: each rival product is exactly 1.0.
-            let ci = first as usize;
-            if let (Some(p), Some(&(_, _, n))) = (scratch.probs.get_mut(ci), spans.get(ci)) {
-                let inv_n = 1.0 / f64::from(n);
-                for _ in 0..n {
-                    *p += inv_n;
+    if let Some(cutoff) = cutoff {
+        let threshold = if cutoff == order_key(-0.0) {
+            order_key(0.0)
+        } else {
+            cutoff
+        };
+        let mut contributors = scratch
+            .nearest
+            .iter()
+            .enumerate()
+            .filter(|(_, near)| near.is_some_and(|near| near <= threshold))
+            .map(|(ci, _)| ci);
+        match (contributors.next(), contributors.next()) {
+            (Some(ci), None) => {
+                // No rival has an instance at or below any of this
+                // candidate's worlds: each rival product is exactly 1.0.
+                if let (Some(p), Some(&(_, _, n))) = (scratch.probs.get_mut(ci), spans.get(ci)) {
+                    let inv_n = 1.0 / f64::from(n);
+                    for _ in 0..n {
+                        *p += inv_n;
+                    }
                 }
             }
+            _ => {
+                merge_kept(spans, dists, threshold, scratch);
+                sweep_events(spans, scratch);
+            }
         }
-        _ => sweep_events(spans, scratch),
     }
     out.clear();
     let ids = spans.iter().map(|&(id, ..)| id);
     out.extend(ids.zip(scratch.probs.iter().copied()));
 }
 
-/// The sweep proper over `scratch.events`, the kept events when no single
-/// candidate holds them all: merges them in ascending `(distance,
-/// candidate)` order and accumulates every world's rival product into
-/// `scratch.probs`.
+/// The distances of `span`; empty when it does not fit in `dists`.
+fn span_dists<'a>(dists: &'a [f64], &(_, start, len): &(u64, u32, u32)) -> &'a [f64] {
+    let start = start as usize;
+    dists.get(start..start + len as usize).unwrap_or_default()
+}
+
+/// `d` as an unsigned integer in `f64::total_cmp` order: the sign bit is
+/// set on a non-negative value and every bit is flipped on a negative one.
+fn order_key(d: f64) -> u64 {
+    let bits = d.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// The distance an [`order_key`] was made from.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(key ^ ((((!key as i64) >> 63) as u64) | (1 << 63)))
+}
+
+/// Gathers the events at or below `threshold` from the spans whose nearest
+/// key reaches it, and writes them to `scratch.events` in ascending
+/// `(order key, candidate index)` order by a distribution merge.
+fn merge_kept(spans: &[(u64, u32, u32)], dists: &[f64], threshold: u64, scratch: &mut ProbScratch) {
+    let ProbScratch {
+        nearest,
+        gathered,
+        events,
+        buckets,
+        ..
+    } = scratch;
+    gathered.clear();
+    let mut min_key = threshold;
+    for ((ci, span), &near) in (0u32..).zip(spans).zip(nearest.iter()) {
+        let Some(near) = near.filter(|&near| near <= threshold) else {
+            continue;
+        };
+        min_key = min_key.min(near);
+        let keys = span_dists(dists, span).iter().map(|&d| order_key(d));
+        gathered.extend(keys.filter(|&key| key <= threshold).map(|key| (key, ci)));
+    }
+    // Counting pass: bucket `b` holds the keys whose offset from `min_key`
+    // has `b` as its top bits. The bucket count is the power of two at or
+    // above half the events: rounding down instead crowds the top binades,
+    // where most kept distances lie, and the insertion pass then pays for
+    // the unsorted spans.
+    let bucket_bits = (gathered.len() / 2).max(1).next_power_of_two().ilog2();
+    let range_bits = u64::BITS - (threshold - min_key).leading_zeros();
+    let shift = range_bits.saturating_sub(bucket_bits);
+    let bucket = |key: u64| ((key - min_key) >> shift) as usize;
+    buckets.clear();
+    buckets.resize(bucket(threshold) + 2, 0);
+    for &(key, _) in gathered.iter() {
+        if let Some(count) = buckets.get_mut(bucket(key) + 1) {
+            *count += 1;
+        }
+    }
+    let mut start = 0;
+    for offset in buckets.iter_mut() {
+        start += *offset;
+        *offset = start;
+    }
+    events.clear();
+    events.resize(gathered.len(), (0, 0));
+    for &event in gathered.iter() {
+        if let Some(next) = buckets.get_mut(bucket(event.0)) {
+            if let Some(slot) = events.get_mut(*next as usize) {
+                *slot = event;
+            }
+            *next += 1;
+        }
+    }
+    // Insertion pass: every key of an earlier bucket is smaller, so each
+    // event moves back only past the larger keys of its own bucket, and
+    // never past an equal one.
+    for i in 1..events.len() {
+        let Some(&event) = events.get(i) else {
+            break;
+        };
+        let mut at = i;
+        while let Some(&before) = at.checked_sub(1).and_then(|b| events.get(b)) {
+            if before.0 <= event.0 {
+                break;
+            }
+            if let Some(slot) = events.get_mut(at) {
+                *slot = before;
+            }
+            at -= 1;
+        }
+        if let Some(slot) = events.get_mut(at) {
+            *slot = event;
+        }
+    }
+}
+
+/// The sweep proper over `scratch.events`, the kept events in ascending
+/// `(distance, candidate)` order when no single candidate holds them all:
+/// accumulates every world's rival product into `scratch.probs`.
 fn sweep_events(spans: &[(u64, u32, u32)], scratch: &mut ProbScratch) {
     let ProbScratch {
         events,
         counts,
         tree,
         probs,
+        ..
     } = scratch;
-    events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let size = spans.len().next_power_of_two();
     tree.clear();
     tree.resize(2 * size, 1.0);
     counts.clear();
     counts.resize(spans.len(), 0);
-    for group in events.chunk_by(|a, b| a.0 == b.0) {
+    for group in events.chunk_by(|a, b| from_order_key(a.0) == from_order_key(b.0)) {
         // Phase 1: absorb every instance at exactly this distance into the
         // counts *before* evaluating any world at it — ties across (and
         // within) candidates count as "not farther", matching `d ≤ r`.
@@ -569,9 +694,10 @@ mod tests {
 
     #[test]
     fn rival_instance_at_the_cutoff_is_swept() {
-        // The cutoff is 3, the first list's farthest. The rival's instance
-        // at exactly 3 counts as "not farther" in the first list's world at
-        // 3: P = ½·1 + ½·½.
+        // The cutoff is 3, the first list's farthest, and the rival's
+        // nearest instance is exactly 3: the rival contributes, so this must
+        // not take the single-contributor path. Its instance counts as "not
+        // farther" in the first list's world at 3: P = ½·1 + ½·½.
         let lists = [(1, vec![1.0, 3.0]), (2, vec![3.0, 5.0])];
         assert_kernels_agree(&lists);
         assert_eq!(sweep(&lists), vec![(1, 0.75), (2, 0.0)]);
@@ -580,6 +706,38 @@ mod tests {
         let lists = [(1, vec![-0.0]), (2, vec![5.0, 0.0])];
         assert_kernels_agree(&lists);
         assert_eq!(sweep(&lists), vec![(1, 0.5), (2, 0.0)]);
+        let lists = [(1, vec![-0.0, -1.0]), (2, vec![0.0, 0.0, 2.0])];
+        assert_kernels_agree(&lists);
+        assert_eq!(sweep(&lists), vec![(1, 0.5 + 0.5 / 3.0), (2, 0.0)]);
+        // One key past the cutoff the rival no longer contributes.
+        let lists = [(1, vec![1.0, 3.0]), (2, vec![5.0, 3.0f64.next_up()])];
+        assert_kernels_agree(&lists);
+        assert_eq!(sweep(&lists), vec![(1, 1.0), (2, 0.0)]);
+        let lists = [(1, vec![-0.0]), (2, vec![f64::from_bits(1)])];
+        assert_kernels_agree(&lists);
+        assert_eq!(sweep(&lists), vec![(1, 1.0), (2, 0.0)]);
+    }
+
+    #[test]
+    fn kept_range_in_one_bucket_is_ordered_by_the_insertion_pass() {
+        // Three kept events (cutoff 3) make one bucket; they arrive as
+        // 3, 1, 2 and must sweep as 1, 2, 3.
+        let lists = [(1, vec![3.0, 1.0]), (2, vec![2.0, 5.0])];
+        assert_kernels_agree(&lists);
+        assert_eq!(sweep(&lists), vec![(1, 0.75), (2, 0.25)]);
+        // Forty kept events with one key: a zero-width range, all one tie.
+        let lists: Vec<(u64, Vec<f64>)> = (0..4).map(|id| (id, vec![2.0; 10])).collect();
+        assert_kernels_agree(&lists);
+        assert!(sweep(&lists).iter().all(|&(_, p)| p == 0.0));
+        // Consecutive doubles, reversed, a handful of keys wide.
+        let run = |from: f64, n: usize| {
+            let mut ds: Vec<f64> = std::iter::successors(Some(from), |d| Some(d.next_up()))
+                .take(n)
+                .collect();
+            ds.reverse();
+            ds
+        };
+        assert_kernels_agree(&[(1, run(1.0, 3)), (2, run(1.0f64.next_up(), 3))]);
     }
 
     #[test]

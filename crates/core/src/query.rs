@@ -603,10 +603,12 @@ pub trait ProbNnEngine: Step1Engine {
             pc_io += self.fetch_dists_sq(id, q, &mut scratch.dists, &mut scratch.fetch);
             // The candidate's farthest instance tightens the prune cutoff. A
             // linear `total_cmp` max, the element a sort would put last: the
-            // kernel takes each span's distances in any order.
+            // kernel takes each span's distances in any order. Without
+            // pruning the cutoff is never read, so the pass is skipped.
             let farthest_sq = scratch
                 .dists
                 .get(start as usize..)
+                .filter(|_| prune)
                 .and_then(|new_dists| new_dists.iter().copied().max_by(f64::total_cmp));
             if let Some(farthest_sq) = farthest_sq {
                 cutoff_sq = cutoff_sq.min(farthest_sq);

@@ -109,13 +109,10 @@ impl BuildStats {
 pub struct UpdateStats {
     /// Total wall-clock time of the update (the paper's `Tu`).
     pub time: Duration,
-    /// Objects that survived the Lemma-8 filters of a deletion's
-    /// primary-index range query. The PV-index runs that query only on
-    /// deletion, so an insertion reports 0.
-    pub scanned: usize,
-    /// Objects whose UBRs a deletion grew by the union bound (the same set
-    /// as `scanned`); 0 for an insertion, which leaves its neighbours'
-    /// UBRs as they are.
+    /// Objects whose UBRs a deletion grew by the union bound: those that
+    /// survived the Lemma-8 filters of its primary-index range query. The
+    /// PV-index runs that query only on deletion, so an insertion, which
+    /// leaves its neighbours' UBRs as they are, reports 0.
     pub affected: usize,
     /// SE work: the new object's one run on insertion; none on deletion.
     pub se: SeStats,

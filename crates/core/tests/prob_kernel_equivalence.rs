@@ -6,9 +6,12 @@
 //! The generators deliberately stress the hard cases: duplicate distances
 //! within a candidate, exact ties across candidates, zero-probability
 //! (dominated) rivals, empty instance lists and the single-candidate query.
+//! The wide-range lists fill the sweep's distribution merge: hundreds of
+//! distances per candidate across many binades, subnormals and `±0.0`, and
+//! one scratch is reused across calls of every shape.
 //! The sweep takes each candidate's distances in any order; the oracle takes
 //! them sorted. The `PROPTEST_CASES` environment variable scales the case
-//! count for the scheduled deep-fuzz job.
+//! count; CI runs this suite at 1024 cases on every push.
 
 use proptest::prelude::*;
 use pv_core::prob::{
@@ -21,8 +24,8 @@ use pv_geom::{min_dist_sq, HyperRect, Point};
 use pv_uncertain::{Pdf, UncertainDb, UncertainObject};
 use std::sync::Arc;
 
-/// Case count: 128 per property by default, scaled up by `PROPTEST_CASES`
-/// in the scheduled deep-fuzz job.
+/// Case count: 128 per property by default, or `PROPTEST_CASES` (1024 in
+/// CI).
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
@@ -58,6 +61,75 @@ fn arb_sorted_lists() -> impl Strategy<Value = Vec<(u64, Vec<f64>)>> {
             })
             .collect()
     })
+}
+
+/// Values every wide-range list draws from, so that exact ties across
+/// candidates are planted: the smallest subnormal and values from several
+/// binades.
+const TIE_POOL: [f64; 6] = [5e-324, 1e-300, 0.75, 1.0, 3.5, 1e5];
+
+/// One wide-range distance from a drawn `(kind, bits)` pair: mostly a value
+/// from the 80 binades that start 40 below `2^(8·scale)`, with subnormals,
+/// signed zeros and [`TIE_POOL`] values mixed in.
+fn wide_distance(kind: u8, bits: u64, scale: u64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    match kind {
+        0 => f64::from_bits(bits & MANTISSA),
+        1 if bits & 1 == 0 => 0.0,
+        1 => -0.0,
+        2 | 3 => TIE_POOL[(bits % TIE_POOL.len() as u64) as usize],
+        _ => {
+            let exponent = 1023 - 40 + 8 * scale + (bits >> 52) % 80;
+            f64::from_bits(exponent << 52 | (bits & MANTISSA))
+        }
+    }
+}
+
+/// 1–6 lists of 100–400 distances each, in drawn (unsorted) order, spread
+/// across many binades: enough kept events to fill the sweep's buckets, and
+/// key ranges from subnormals and `-0.0` up. Each list's binade window is
+/// shifted by a drawn `scale`, so the cutoff often falls inside a list.
+fn arb_wide_lists() -> impl Strategy<Value = Vec<(u64, Vec<f64>)>> {
+    let list = (
+        0u64..4,
+        prop::collection::vec((0u8..16, any::<u64>()), 100..400),
+    );
+    prop::collection::vec(list, 1..7).prop_map(|lists| {
+        (0u64..)
+            .zip(lists)
+            .map(|(id, (scale, draws))| {
+                let ds = draws
+                    .into_iter()
+                    .map(|(kind, bits)| wide_distance(kind, bits, scale))
+                    .collect();
+                (id, ds)
+            })
+            .collect()
+    })
+}
+
+/// The lists laid out as the query driver lays them out: `(id, start, len)`
+/// spans into one flat distance buffer, each list in its given order.
+fn spans_of(lists: &[(u64, Vec<f64>)]) -> (Vec<(u64, u32, u32)>, Vec<f64>) {
+    let mut dists = Vec::new();
+    let mut spans = Vec::new();
+    for (id, ds) in lists {
+        spans.push((*id, dists.len() as u32, ds.len() as u32));
+        dists.extend_from_slice(ds);
+    }
+    (spans, dists)
+}
+
+/// Each list sorted ascending, as the oracle takes it.
+fn sorted(lists: &[(u64, Vec<f64>)]) -> Vec<(u64, Vec<f64>)> {
+    lists
+        .iter()
+        .map(|(id, ds)| {
+            let mut ds = ds.clone();
+            ds.sort_unstable_by(f64::total_cmp);
+            (*id, ds)
+        })
+        .collect()
 }
 
 /// A small database of explicit-instance objects on an integer grid in
@@ -130,12 +202,7 @@ proptest! {
     #[test]
     fn sweep_is_bitwise_equal_to_oracle(lists in arb_sorted_lists()) {
         let naive = qualification_from_sorted(&lists);
-        let mut dists = Vec::new();
-        let mut spans = Vec::new();
-        for (id, ds) in &lists {
-            spans.push((*id, dists.len() as u32, ds.len() as u32));
-            dists.extend_from_slice(ds);
-        }
+        let (spans, dists) = spans_of(&lists);
         let mut swept = Vec::new();
         qualification_sweep_into(&spans, &dists, &mut ProbScratch::default(), &mut swept);
         assert_bitwise_equal(&naive, &swept);
@@ -162,6 +229,37 @@ proptest! {
         let mut swept = Vec::new();
         qualification_sweep_into(&spans, &dists, &mut ProbScratch::default(), &mut swept);
         assert_bitwise_equal(&naive, &swept);
+    }
+
+    /// The distribution merge on wide-range lists: hundreds of unsorted
+    /// distances per candidate across many binades, subnormals, `±0.0` and
+    /// planted cross-candidate ties still give the oracle's bits on the
+    /// sorted lists.
+    #[test]
+    fn sweep_matches_oracle_on_wide_range_lists(lists in arb_wide_lists()) {
+        let naive = qualification_from_sorted(&sorted(&lists));
+        let (spans, dists) = spans_of(&lists);
+        let mut swept = Vec::new();
+        qualification_sweep_into(&spans, &dists, &mut ProbScratch::default(), &mut swept);
+        assert_bitwise_equal(&naive, &swept);
+    }
+
+    /// One `ProbScratch` (and one output buffer) driven through a drawn
+    /// sequence of calls of different shapes, tie-heavy and wide-range,
+    /// growing and shrinking, gives every call a fresh scratch's bits.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch(
+        calls in prop::collection::vec(prop_oneof![arb_sorted_lists(), arb_wide_lists()], 2..8),
+    ) {
+        let mut reused = ProbScratch::default();
+        let mut got = Vec::new();
+        for lists in &calls {
+            let (spans, dists) = spans_of(lists);
+            let mut want = Vec::new();
+            qualification_sweep_into(&spans, &dists, &mut ProbScratch::default(), &mut want);
+            qualification_sweep_into(&spans, &dists, &mut reused, &mut got);
+            assert_bitwise_equal(&want, &got);
+        }
     }
 
     /// Database-level law in 2/3/4 dimensions: the convenience wrappers

@@ -191,9 +191,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One object's SE run, exactly as the build and every insertion perform
-/// it: `chooseCSet` with [`PvParams::cset`], then [`compute_ubr`] at the
-/// effective threshold.
+/// One object's SE run, exactly as the build, every insertion and every
+/// deletion's affected set perform it: `chooseCSet` with
+/// [`PvParams::cset`], then [`compute_ubr`] at the effective threshold,
+/// then the optional §VIII compression, which snaps the UBR outward onto
+/// the configured grid (enlargement keeps `B(o) ⊇ V(o)`, so Step 1 stays
+/// exact).
 fn se_run(
     o: &UncertainObject,
     params: &PvParams,
@@ -206,7 +209,10 @@ fn se_run(
     let cset_time = t_cset.elapsed();
     let (ubr, mut st) = compute_ubr(o, domain, &cset, params.effective_delta(), params.mmax);
     st.cset_time = cset_time;
-    (ubr, st)
+    match params.ubr_quantize_steps {
+        None => (ubr, st),
+        Some(steps) => (pv_geom::snap_outward(&ubr, domain, steps), st),
+    }
 }
 
 impl PvIndex {
@@ -370,19 +376,12 @@ impl PvIndex {
         // order (the octree path must be deterministic — splits consult the
         // whole catalog, so the insertion sequence shapes the tree).
         let t_insert = Instant::now();
-        let quantize = |ubr: HyperRect| -> HyperRect {
-            match params.ubr_quantize_steps {
-                None => ubr,
-                Some(steps) => pv_geom::snap_outward(&ubr, &db.domain, steps),
-            }
-        };
         let objects: HashMap<u64, UncertainObject> =
             db.objects.iter().map(|o| (o.id, o.clone())).collect();
         let mut ubrs: HashMap<u64, HyperRect> = HashMap::with_capacity(db.len());
         let secondary_records: Vec<(u64, Vec<u8>)> = ubr_list
             .into_iter()
             .map(|(id, ubr)| {
-                let ubr = quantize(ubr);
                 let record =
                     encode_secondary(&ubr, &objects[&id], &db.domain, params.ubr_quantize_steps);
                 ubrs.insert(id, ubr);
@@ -493,16 +492,6 @@ impl PvIndex {
     /// `index.stale_backlog` metric calls it.
     pub fn maintenance_backlog(&self) -> usize {
         0
-    }
-
-    /// Applies the optional §VIII compression: snap a UBR outward onto the
-    /// configured grid (a no-op when compression is off). Enlargement keeps
-    /// `B(o) ⊇ V(o)`, so Step 1 stays exact.
-    fn maybe_quantize(&self, ubr: HyperRect) -> HyperRect {
-        match self.params.ubr_quantize_steps {
-            None => ubr,
-            Some(steps) => pv_geom::snap_outward(&ubr, &self.domain, steps),
-        }
     }
 
     /// The UBR of an object.
@@ -623,14 +612,7 @@ impl PvIndex {
             &self.mean_tree,
             &self.regions,
         );
-        let ubr = self.maybe_quantize(ubr);
-        let record = encode_secondary(&ubr, &o, &self.domain, self.params.ubr_quantize_steps);
-        self.secondary.put(o.id, &record);
-        self.ubrs.insert(o.id, ubr.clone());
-        let record = encode_leaf_record(o.id, &o.region);
-        let ubrs = &self.ubrs;
-        let lookup = move |i: u64| ubrs[&i].clone();
-        self.octree.insert(&ubr, &record, &lookup);
+        self.register(&o, ubr);
 
         Ok(UpdateStats {
             time: t0.elapsed(),
@@ -639,18 +621,17 @@ impl PvIndex {
         })
     }
 
-    /// Incrementally removes an object (§VI-B "Deletion"), with no SE run.
+    /// Incrementally removes an object (§VI-B "Deletion").
     ///
-    /// Growing each affected UBR with SE is what makes the paper's deletion
-    /// O(|A|) SE runs. A deletion admits a cheap sound bound instead: any
-    /// point a neighbour `a` newly wins was previously a possible-NN
-    /// location of the deleted `o'` (removing an object only raises the
-    /// pruning distance τ at points where `o'` attained it, and there
-    /// `distmin(o') ≤ distmax(o') = τ`), hence lies inside `B(S,o')`. So
-    /// `V(S',a) ⊆ B(S,a) ∪ B(S,o')` and the rectangle union of the two old
-    /// UBRs is a valid new bound, at the cost of a rectangle op instead of
-    /// an SE run. The grown UBRs stay loose until [`PvIndex::rebuild`]
-    /// re-tightens them.
+    /// Removing `o'` can only grow the other PV-cells, and only those of the
+    /// affected set `A`: the objects a range query with `B(S, o')` finds and
+    /// Lemma 8 does not prove unaffected. Each `a ∈ A`, in the order the
+    /// query returns them, gets the build's SE run over `S' = S \ {o'}`, so
+    /// its new UBR is the one a fresh build over `S'` gives it; when that
+    /// UBR changed, `a`'s records move to the leaves it touches. Every
+    /// object's records therefore sit in exactly the leaves its catalog UBR
+    /// touches, as after a build. The cost is `|A|` SE runs, reported in
+    /// [`UpdateStats::se`].
     ///
     /// # Errors
     /// [`DbError::UnknownId`] if the id is not indexed.
@@ -671,46 +652,42 @@ impl PvIndex {
         self.mean_tree
             .remove(&HyperRect::from_point(&o.region.center()), id);
 
-        // Step 3, by the union bound: every point a neighbour newly wins
-        // lies inside B(S, o') — the deleted object was a possible NN there.
-        // So the neighbour's *catalog* UBR grows by the sound rectangle
-        // union (a bounding box, cheap, possibly loose), while its *leaf
-        // records* are extended over B(S, o') only (`insert_covering`
-        // dedups), never over the box. Registering under the box instead
-        // compounds across deletion storms until every UBR covers the domain
-        // and octree leaves split to max depth; keeping leaf coverage tight
-        // makes the loose catalog box cost only Lemma-8 filter precision,
-        // which a rebuild recovers. The invariant is: an object's records
-        // cover at least the leaves its PV-cell touches and at most the
-        // leaves its catalog UBR touches.
-        let mut leaf_records: Vec<Vec<u8>> = Vec::with_capacity(affected.len());
+        // Step 3: B(S', a) by the build's SE run for every a ∈ A.
+        let mut se = SeStats::default();
         for aid in &affected {
-            let old = self.ubrs[aid].clone();
-            let grown = self.maybe_quantize(old.union(&old_ubr));
-            let other = self.objects[aid].clone();
-            if grown != old {
-                let record =
-                    encode_secondary(&grown, &other, &self.domain, self.params.ubr_quantize_steps);
-                self.secondary.put(*aid, &record);
-                self.ubrs.insert(*aid, grown);
+            let a = self.objects[aid].clone();
+            let (ubr, st) = se_run(
+                &a,
+                &self.params,
+                &self.domain,
+                &self.mean_tree,
+                &self.regions,
+            );
+            se.absorb(&st);
+            if ubr != self.ubrs[aid] {
+                self.octree.remove(&self.ubrs[aid], *aid);
+                self.register(&a, ubr);
             }
-            // Even when the box did not move (B(S, o') inside it), the
-            // leaf coverage may not reach all of B(S, o') yet — extend it
-            // unconditionally; the dedup scan makes re-covering a no-op.
-            leaf_records.push(encode_leaf_record(*aid, &other.region));
         }
-        // One batched traversal of the leaves under B(S, o') for the whole
-        // affected set, instead of one tree walk per neighbour.
-        let record_refs: Vec<&[u8]> = leaf_records.iter().map(Vec::as_slice).collect();
-        let ubrs = &self.ubrs;
-        let lookup = move |i: u64| ubrs[&i].clone();
-        self.octree.insert_covering(&old_ubr, &record_refs, &lookup);
 
         Ok(UpdateStats {
             time: t0.elapsed(),
             affected: affected.len(),
-            ..Default::default()
+            se,
         })
+    }
+
+    /// Registers `o` under `ubr`: its secondary record, its catalog UBR,
+    /// then its records in every octree leaf `ubr` touches (a split
+    /// re-routes the leaf's records by their catalog UBRs, `o`'s included).
+    fn register(&mut self, o: &UncertainObject, ubr: HyperRect) {
+        let record = encode_secondary(&ubr, o, &self.domain, self.params.ubr_quantize_steps);
+        self.secondary.put(o.id, &record);
+        self.ubrs.insert(o.id, ubr.clone());
+        let record = encode_leaf_record(o.id, &o.region);
+        let ubrs = &self.ubrs;
+        let lookup = move |i: u64| ubrs[&i].clone();
+        self.octree.insert(&ubr, &record, &lookup);
     }
 
     /// Rebuilds the index from its current object catalog in place (the

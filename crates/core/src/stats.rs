@@ -109,12 +109,13 @@ impl BuildStats {
 pub struct UpdateStats {
     /// Total wall-clock time of the update (the paper's `Tu`).
     pub time: Duration,
-    /// Objects whose UBRs a deletion grew by the union bound: those that
-    /// survived the Lemma-8 filters of its primary-index range query. The
-    /// PV-index runs that query only on deletion, so an insertion, which
-    /// leaves its neighbours' UBRs as they are, reports 0.
+    /// Objects whose UBRs a deletion recomputed: those that survived the
+    /// Lemma-8 filters of its primary-index range query. The PV-index runs
+    /// that query only on deletion, so an insertion, which leaves its
+    /// neighbours' UBRs as they are, reports 0.
     pub affected: usize,
-    /// SE work: the new object's one run on insertion; none on deletion.
+    /// SE work: the new object's one run on insertion; one run per
+    /// [`UpdateStats::affected`] object on deletion.
     pub se: SeStats,
 }
 

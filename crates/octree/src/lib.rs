@@ -252,9 +252,8 @@ impl<P: Pager> Octree<P> {
             // themselves. Otherwise every descendant inherits the full
             // overflow and the redistribution recursion cascades towards the
             // depth cap (each level copying the core into 2^d children).
-            // That happens under deletion storms, where the union bound
-            // leaves many catalog UBRs loose; chaining pages keeps those
-            // leaves flat until a rebuild re-tightens the boxes.
+            // That happens where many objects crowd one spot (co-located or
+            // nested boxes); chaining pages keeps such a leaf flat.
             let center = region.center();
             let core = {
                 let list = match self.nodes[node as usize].as_ref() {
@@ -283,7 +282,9 @@ impl<P: Pager> Octree<P> {
             return;
         }
         // Split: convert the leaf into an internal node with 2^d leaf
-        // children and re-route all resident records by their UBRs.
+        // children and re-route all resident records by their UBRs. A child
+        // may itself split partway through, so each record enters its child
+        // through `insert_rec`, which descends past a split.
         let old_records = match Arc::make_mut(&mut self.nodes[node as usize]) {
             ONode::Leaf { list, .. } => {
                 let recs = list.read_all(&self.pager);
@@ -302,9 +303,10 @@ impl<P: Pager> Octree<P> {
             let obj_ubr = ubr_lookup(id);
             for (i, child_region) in child_regions.iter().enumerate() {
                 if child_region.intersects(&obj_ubr) {
-                    self.leaf_insert(
+                    self.insert_rec(
                         children[i],
                         child_region.clone(),
+                        &obj_ubr,
                         rec,
                         ubr_lookup,
                         depth + 1,
@@ -450,89 +452,6 @@ impl<P: Pager> Octree<P> {
                 }
                 ONode::Internal(_) => unreachable!(),
             },
-        }
-    }
-
-    /// Registers each record in every leaf overlapping `cover` that does
-    /// not already hold a record of the same id (dedup by scanning the
-    /// leaf once for the whole batch).
-    ///
-    /// It makes no assumption about where the records currently live, so a
-    /// caller can extend objects' leaf coverage by an arbitrary rectangle.
-    /// The deletion path uses it to register all affected neighbours exactly
-    /// where they can newly win — the removed object's UBR — instead of
-    /// everywhere under the (potentially huge) bounding box of each
-    /// neighbour's union, and in one traversal instead of one per neighbour.
-    pub fn insert_covering(
-        &mut self,
-        cover: &HyperRect,
-        records: &[&[u8]],
-        ubr_lookup: &dyn Fn(u64) -> HyperRect,
-    ) {
-        self.insert_covering_rec(
-            self.root,
-            self.domain.clone(),
-            cover,
-            records,
-            ubr_lookup,
-            0,
-        );
-    }
-
-    fn insert_covering_rec(
-        &mut self,
-        node: u32,
-        region: HyperRect,
-        cover: &HyperRect,
-        records: &[&[u8]],
-        ubr_lookup: &dyn Fn(u64) -> HyperRect,
-        depth: usize,
-    ) {
-        match self.nodes[node as usize].as_ref() {
-            ONode::Internal(children) => {
-                let children = children.clone();
-                for (i, child_region) in region.octants().into_iter().enumerate() {
-                    if child_region.intersects(cover) {
-                        self.insert_covering_rec(
-                            children[i],
-                            child_region,
-                            cover,
-                            records,
-                            ubr_lookup,
-                            depth + 1,
-                        );
-                    }
-                }
-            }
-            ONode::Leaf { list, .. } => {
-                fn rec_id(rec: &[u8]) -> u64 {
-                    u64::from_le_bytes(rec[0..8].try_into().expect("record has id"))
-                }
-                let mut present: Vec<u64> = Vec::with_capacity(records.len());
-                list.for_each_record(&self.pager, &mut Vec::new(), |rec: &[u8]| {
-                    present.push(rec_id(rec));
-                });
-                for (i, record) in records.iter().enumerate() {
-                    if present.contains(&rec_id(record)) {
-                        continue;
-                    }
-                    // An insert can split the leaf; re-descend with the
-                    // remaining batch (the dedup scan makes re-visiting the
-                    // just-inserted record a no-op).
-                    if matches!(self.nodes[node as usize].as_ref(), ONode::Internal(_)) {
-                        self.insert_covering_rec(
-                            node,
-                            region,
-                            cover,
-                            &records[i..],
-                            ubr_lookup,
-                            depth,
-                        );
-                        return;
-                    }
-                    self.leaf_insert(node, region.clone(), record, ubr_lookup, depth);
-                }
-            }
         }
     }
 
@@ -913,7 +832,7 @@ impl BulkBuilder<'_> {
         }
         // Split: same child allocation order and the same (chain read order
         // + the incoming record last) re-routing sequence as the
-        // incremental path.
+        // incremental path, each record entering its child through `route`.
         let old_records: Vec<u32> = match &self.nodes[node as usize] {
             BuildNode::Leaf { groups, .. } => Self::read_order(groups).collect(),
             BuildNode::Internal(_) => unreachable!(),
@@ -927,7 +846,7 @@ impl BulkBuilder<'_> {
             let ubr = self.items[r as usize].0.clone();
             for (i, child_region) in child_regions.iter().enumerate() {
                 if child_region.intersects(&ubr) {
-                    self.leaf_insert(children[i], child_region.clone(), r, depth + 1);
+                    self.route(children[i], child_region.clone(), r, depth + 1);
                 }
             }
         }
@@ -1270,6 +1189,54 @@ mod tests {
             insert_all(&mut tree2, &objs);
             tree2.stats().leaf_records - removed
         });
+    }
+
+    /// A split re-routes its leaf's records one by one, and a child can
+    /// split partway through; the records after that must descend past it.
+    /// Removes make this reachable: the core-record veto chains a leaf far
+    /// past the threshold, and removing the core lets the next insert split
+    /// it.
+    #[test]
+    fn split_reroutes_into_a_child_that_split() {
+        let mut tree = mk_tree(1 << 20);
+        assert_eq!(tree.split_threshold, 11);
+        let nested: Vec<(u64, HyperRect)> = (0..12u64)
+            .map(|k| {
+                let (lo, hi) = (49.0 - k as f64, 51.0 + k as f64);
+                (k, HyperRect::new(vec![lo, lo], vec![hi, hi]))
+            })
+            .collect();
+        let small: Vec<(u64, HyperRect)> = (0..41u64)
+            .map(|k| {
+                let x = 2.0 + (k % 8) as f64 * 5.0;
+                let y = 2.0 + (k / 8) as f64 * 5.0;
+                (100 + k, HyperRect::new(vec![x, y], vec![x + 2.0, y + 2.0]))
+            })
+            .collect();
+        let all: std::collections::HashMap<u64, HyperRect> =
+            nested.iter().chain(&small).cloned().collect();
+        let lookup = |id: u64| all[&id].clone();
+        for (id, ubr) in nested.iter().chain(&small[..40]) {
+            tree.insert(ubr, &encode_leaf_record(*id, ubr), &lookup);
+        }
+        let st = tree.stats();
+        assert_eq!(st.leaf_records, 52, "the veto chains every record");
+        assert_eq!(st.leaf_nodes, 1);
+        for (id, ubr) in &nested {
+            tree.remove(ubr, *id);
+        }
+        let (id, ubr) = &small[40];
+        tree.insert(ubr, &encode_leaf_record(*id, ubr), &lookup);
+        assert!(tree.stats().depth > 2, "the crowded child split too");
+        assert_eq!(tree.range_query(&domain2d()).len(), 41);
+        for (id, ubr) in &small {
+            let got: Vec<u64> = tree
+                .point_query(&ubr.center())
+                .iter()
+                .map(|r| decode_leaf_record(r, 2).unwrap().0)
+                .collect();
+            assert!(got.contains(id), "object {id} lost in the re-route");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn main() {
                 t_delete += t0.elapsed();
                 n_delete += 1;
                 // An insertion leaves its neighbours' UBRs as they are; a
-                // deletion grows the affected ones by the union bound.
+                // deletion recomputes the affected ones with SE.
                 affected_total += st.affected;
             }
             _ => {
@@ -101,7 +101,7 @@ fn main() {
         n_insert, n_delete
     );
     println!(
-        "  avg insert {:?}, avg delete {:?}, avg UBRs grown per delete {:.1}",
+        "  avg insert {:?}, avg delete {:?}, avg UBRs recomputed per delete {:.1}",
         t_insert / n_insert.max(1),
         t_delete / n_delete.max(1),
         affected_total as f64 / n_delete.max(1) as f64

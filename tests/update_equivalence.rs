@@ -1,7 +1,9 @@
 //! Incremental-maintenance soundness (§VI-B): after arbitrary interleavings
 //! of insertions and deletions, the incrementally maintained PV-index must
-//! answer Step 1 exactly like a naive scan and like a freshly rebuilt index,
-//! and an inserted object's UBR must be the one a fresh build gives it.
+//! answer Step 1 exactly like a naive scan and like a freshly rebuilt index.
+//! An inserted object's UBR, and the UBR of every neighbour a deletion
+//! affects, must be the one a fresh build gives it, and removes must not
+//! grow the octree past a fresh build's.
 //! This also regression-tests the Lemma-8 erratum fix (see ARCHITECTURE.md
 //! §1).
 
@@ -139,6 +141,94 @@ fn inserted_ubr_equals_the_builds() {
     }
 }
 
+/// A deletion re-runs the build's SE for every object in its affected set
+/// `A` (§VI-B): the objects whose UBR meets the removed object's and whose
+/// uncertainty region is disjoint from it (Lemma 8). So after each remove,
+/// every `a ∈ A` has exactly the UBR a fresh build over the remaining
+/// objects gives it.
+#[test]
+fn removed_neighbours_get_the_builds_ubr() {
+    for dim in [2usize, 3] {
+        let db = synthetic(&SyntheticConfig {
+            n: 120,
+            dim,
+            max_side: 300.0,
+            samples: 8,
+            seed: 31 + dim as u64,
+        });
+        let mut index = PvIndex::build(&db, PvParams::default());
+        let mut shadow = db.objects.clone();
+        let mut rng = StdRng::seed_from_u64(310 + dim as u64);
+        for step in 0..10 {
+            let gone = shadow.swap_remove(rng.gen_range(0..shadow.len()));
+            let gone_ubr = index.ubr(gone.id).expect("present").clone();
+            let affected: Vec<u64> = shadow
+                .iter()
+                .filter(|a| index.ubr(a.id).expect("present").intersects(&gone_ubr))
+                .filter(|a| !a.region.intersects(&gone.region))
+                .map(|a| a.id)
+                .collect();
+            let st = index.remove(gone.id).expect("present");
+            assert_eq!(st.affected, affected.len(), "{dim}-D remove {step}: |A|");
+            let fresh = PvIndex::build(
+                &UncertainDb::new(index.domain().clone(), shadow.clone()),
+                PvParams::default(),
+            );
+            for id in affected {
+                assert_eq!(
+                    index.ubr(id),
+                    fresh.ubr(id),
+                    "{dim}-D remove {step}: UBR of neighbour {id} differs from the build's"
+                );
+            }
+        }
+    }
+}
+
+/// Removes keep the octree the size a build of the same objects gives it.
+/// Leaf splits copy a record into every child its UBR meets, so a remove
+/// that leaves its neighbours with loose UBRs grows a 3-D octree to
+/// hundreds of times a build's leaf records within a few commits.
+#[test]
+fn removes_do_not_grow_the_octree() {
+    let config = |n, seed| SyntheticConfig {
+        n,
+        dim: 3,
+        max_side: 150.0,
+        samples: 6,
+        seed,
+    };
+    let params = PvParams {
+        page_size: 1024,
+        ..Default::default()
+    };
+    for seed in 1..=6u64 {
+        let db = synthetic(&config(400, seed));
+        let mut index = PvIndex::build(&db, params);
+        let mut shadow = db.objects.clone();
+        let mut arrivals = synthetic(&config(10, 1_000 + seed)).objects.into_iter();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for commit in 0..15u64 {
+            if commit % 3 == 2 {
+                let gone = shadow.swap_remove(rng.gen_range(0..shadow.len()));
+                index.remove(gone.id).expect("present");
+            } else {
+                let mut o = arrivals.next().expect("ten arrivals");
+                o.id = 100_000 + commit;
+                shadow.push(o.clone());
+                index.insert(o).expect("fresh id");
+            }
+        }
+        let fresh = PvIndex::build(&UncertainDb::new(index.domain().clone(), shadow), params);
+        let live = index.octree_stats().leaf_records;
+        let built = fresh.octree_stats().leaf_records;
+        assert!(
+            live <= 2 * built,
+            "seed {seed}: {live} leaf records after 15 commits, a fresh build has {built}"
+        );
+    }
+}
+
 #[test]
 fn incremental_matches_rebuild_after_churn() {
     let db = synthetic(&SyntheticConfig {
@@ -207,8 +297,9 @@ fn update_stats_report_work() {
     let mut index = PvIndex::build(&db, PvParams::default());
     let st = index.remove(100).unwrap();
     // With |u(o)| = 300 the UBRs overlap heavily: a deletion should touch
-    // at least one neighbor.
-    assert!(st.affected >= 1, "the deletion grew no neighbour's UBR");
+    // at least one neighbor, and recompute it with SE.
+    assert!(st.affected >= 1, "the deletion recomputed no UBR");
+    assert!(st.se.slab_tests > 0, "deletion must run SE");
     let o = UncertainObject::uniform(
         99_999,
         HyperRect::new(vec![5_000.0, 5_000.0], vec![5_100.0, 5_100.0]),

@@ -27,9 +27,9 @@ pub enum Preset {
     Tiny,
     /// The `experiments` binary's default (|S| ≤ 10k).
     Small,
-    /// Construction-scaling runs (|S| ≤ 25k): large enough that the PR-8
-    /// build pipeline (work stealing + bulk load) dominates the wall clock,
-    /// small enough to finish in minutes.
+    /// Construction-scaling runs (|S| ≤ 25k): large enough that the build
+    /// (work-stealing SE, then per-object octree insertion) dominates the
+    /// wall clock, small enough to finish in minutes.
     Large,
     /// The paper's Table-I scale (|S| ≤ 100k). Hours.
     Paper,
@@ -113,8 +113,8 @@ impl Preset {
 pub struct Ctx {
     /// Scale preset.
     pub preset: Preset,
-    /// Worker threads for bulk UBR construction (queries stay serial, as in
-    /// the paper).
+    /// Worker threads for the build's UBR construction (queries stay serial,
+    /// as in the paper).
     pub threads: usize,
 }
 

@@ -216,9 +216,10 @@ fn se_run(
 }
 
 impl PvIndex {
-    /// Builds the PV-index for a database: computes every UBR with SE
-    /// (work-stealing parallel when [`PvParams::build_threads`] > 1) and
-    /// bulk-loads both on-disk structures.
+    /// Builds the PV-index for a database: computes every UBR with SE on
+    /// [`PvParams::build_threads`] work-stealing workers, inserts each
+    /// object's leaf record into the octree as a commit does (§VI-A), and
+    /// bulk-builds the secondary hash table.
     ///
     /// # Panics
     /// If a construction worker panics; serving layers that must survive
@@ -242,30 +243,9 @@ impl PvIndex {
     /// [`crate::BuildError::WorkerPanicked`] with the first captured panic message;
     /// the remaining workers are drained, not detached.
     pub fn try_build(db: &UncertainDb, params: PvParams) -> Result<Self, crate::BuildError> {
-        Self::build_inner(db, params, true)
-    }
-
-    /// Legacy per-object insertion build (pre-PR-8 Phase 2): one
-    /// `Octree::insert` and one `ExtHash::put` per object. Kept only as the
-    /// ground truth for the build-equivalence test suite; the bulk path must
-    /// stay logically indistinguishable from it.
-    #[doc(hidden)]
-    pub fn build_legacy(db: &UncertainDb, params: PvParams) -> Self {
-        match Self::build_inner(db, params, false) {
-            Ok(index) => index,
-            Err(e) => panic!("PV-index build failed: {e}"),
-        }
-    }
-
-    fn build_inner(
-        db: &UncertainDb,
-        params: PvParams,
-        bulk: bool,
-    ) -> Result<Self, crate::BuildError> {
         let t_total = Instant::now();
         let dim = db.dim();
         let pager = MemPager::new(params.page_size);
-        let leaf_record_len = 8 + dim * 16;
         let regions: HashMap<u64, HyperRect> = db
             .objects
             .iter()
@@ -278,6 +258,13 @@ impl PvIndex {
         );
 
         // Phase 1: UBR computation (embarrassingly parallel over objects).
+        // Work stealing: workers pull fixed-size object batches off a shared
+        // cursor until the range is drained, so one expensive object stalls
+        // a single batch, never a static 1/T chunk. Each claimed batch is
+        // returned tagged with its index; the merge scatters them back into
+        // object order, making the result — and everything downstream of
+        // it — independent of scheduling. One worker always runs, so a
+        // serial build and an empty database take the same path.
         let compute_one = |o: &UncertainObject| -> (u64, HyperRect, SeStats) {
             if o.id == BUILD_POISON_ID.load(Ordering::Relaxed) {
                 panic!("poisoned object {} reached a build worker", o.id);
@@ -285,155 +272,102 @@ impl PvIndex {
             let (ubr, st) = se_run(o, &params, &db.domain, &mean_tree, &regions);
             (o.id, ubr, st)
         };
-        let mut se_total = SeStats::default();
-        let mut ubr_list: Vec<(u64, HyperRect)> = Vec::with_capacity(db.len());
-        if params.build_threads <= 1 {
-            // The fail-point must fail the serial path too (same contract),
-            // via the same capture as a worker thread.
-            let objects = &db.objects;
-            let batch = std::thread::scope(|scope| {
-                scope
-                    .spawn(|| objects.iter().map(compute_one).collect::<Vec<_>>())
-                    .join()
-            })
-            .map_err(|p| crate::BuildError::WorkerPanicked {
-                message: panic_message(&*p),
-            })?;
-            for (id, ubr, st) in batch {
-                se_total.absorb(&st);
-                ubr_list.push((id, ubr));
-            }
-        } else {
-            // Work stealing: workers pull fixed-size object batches off a
-            // shared cursor until the range is drained, so one expensive
-            // object stalls a single batch, never a static 1/T chunk. Each
-            // claimed batch is returned tagged with its index; the merge
-            // scatters them back into object order, making the result —
-            // and everything downstream of it — independent of scheduling.
-            let n = db.len();
-            let batches = n.div_ceil(BUILD_BATCH);
-            let threads = params.build_threads.min(batches.max(1));
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            type Batch = Vec<(u64, HyperRect, SeStats)>;
-            let worker_out: Vec<std::thread::Result<Vec<(usize, Batch)>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            let cursor = &cursor;
-                            let compute_one = &compute_one;
-                            scope.spawn(move || {
-                                let mut out: Vec<(usize, Batch)> = Vec::new();
-                                loop {
-                                    let start = cursor.fetch_add(BUILD_BATCH, Ordering::Relaxed);
-                                    if start >= n {
-                                        return out;
-                                    }
-                                    let end = (start + BUILD_BATCH).min(n);
-                                    out.push((
-                                        start / BUILD_BATCH,
-                                        db.objects[start..end].iter().map(compute_one).collect(),
-                                    ));
+        let n = db.len();
+        let batches = n.div_ceil(BUILD_BATCH);
+        let threads = params.build_threads.min(batches).max(1);
+        let cursor = std::sync::atomic::AtomicUsize::new(0);
+        type Batch = Vec<(u64, HyperRect, SeStats)>;
+        let worker_out: Vec<std::thread::Result<Vec<(usize, Batch)>>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let cursor = &cursor;
+                        let compute_one = &compute_one;
+                        scope.spawn(move || {
+                            let mut out: Vec<(usize, Batch)> = Vec::new();
+                            loop {
+                                let start = cursor.fetch_add(BUILD_BATCH, Ordering::Relaxed);
+                                if start >= n {
+                                    return out;
                                 }
-                            })
+                                let end = (start + BUILD_BATCH).min(n);
+                                out.push((
+                                    start / BUILD_BATCH,
+                                    db.objects[start..end].iter().map(compute_one).collect(),
+                                ));
+                            }
                         })
-                        .collect();
-                    // Join every worker before propagating any failure, so
-                    // a panic cannot leave threads running detached.
-                    handles
-                        .into_iter()
-                        .map(std::thread::ScopedJoinHandle::join)
-                        .collect()
-                });
-            let mut merged: Vec<Option<Batch>> = (0..batches).map(|_| None).collect();
-            let mut first_panic: Option<String> = None;
-            for result in worker_out {
-                match result {
-                    Ok(claimed) => {
-                        for (i, batch) in claimed {
-                            debug_assert!(merged[i].is_none(), "batch {i} claimed twice");
-                            merged[i] = Some(batch);
-                        }
-                    }
-                    Err(payload) => {
-                        first_panic.get_or_insert_with(|| panic_message(&*payload));
+                    })
+                    .collect();
+                // Join every worker before propagating any failure, so a
+                // panic cannot leave threads running detached.
+                handles
+                    .into_iter()
+                    .map(std::thread::ScopedJoinHandle::join)
+                    .collect()
+            });
+        let mut merged: Vec<Option<Batch>> = (0..batches).map(|_| None).collect();
+        let mut first_panic: Option<String> = None;
+        for result in worker_out {
+            match result {
+                Ok(claimed) => {
+                    for (i, batch) in claimed {
+                        debug_assert!(merged[i].is_none(), "batch {i} claimed twice");
+                        merged[i] = Some(batch);
                     }
                 }
-            }
-            if let Some(message) = first_panic {
-                return Err(crate::BuildError::WorkerPanicked { message });
-            }
-            for batch in merged {
-                for (id, ubr, st) in batch.expect("all batches claimed by drained workers") {
-                    se_total.absorb(&st);
-                    ubr_list.push((id, ubr));
+                Err(payload) => {
+                    first_panic.get_or_insert_with(|| panic_message(&*payload));
                 }
             }
         }
+        if let Some(message) = first_panic {
+            return Err(crate::BuildError::WorkerPanicked { message });
+        }
+        let mut se_total = SeStats::default();
+        let mut ubr_list: Vec<(u64, HyperRect)> = Vec::with_capacity(n);
+        for batch in merged {
+            for (id, ubr, st) in batch.expect("all batches claimed by drained workers") {
+                se_total.absorb(&st);
+                ubr_list.push((id, ubr));
+            }
+        }
 
-        // Phase 2: load the primary + secondary indexes from the completed
-        // catalog. Both paths consume identical inputs in identical order:
-        // secondary records in object order, octree records in ascending-id
-        // order (the octree path must be deterministic — splits consult the
-        // whole catalog, so the insertion sequence shapes the tree).
+        // Phase 2: the primary index takes each object's leaf record through
+        // `Octree::insert`, as a commit does, in ascending id order (splits
+        // re-route by the whole catalog, so the insertion sequence shapes
+        // the tree); the secondary index is bulk-built in object order.
         let t_insert = Instant::now();
         let objects: HashMap<u64, UncertainObject> =
             db.objects.iter().map(|o| (o.id, o.clone())).collect();
-        let mut ubrs: HashMap<u64, HyperRect> = HashMap::with_capacity(db.len());
+        let quantize = params.ubr_quantize_steps;
         let secondary_records: Vec<(u64, Vec<u8>)> = ubr_list
-            .into_iter()
-            .map(|(id, ubr)| {
-                let record =
-                    encode_secondary(&ubr, &objects[&id], &db.domain, params.ubr_quantize_steps);
-                ubrs.insert(id, ubr);
-                (id, record)
-            })
-            .collect();
-        let mut octree_items: Vec<(u64, HyperRect, Vec<u8>)> = ubrs
             .iter()
-            .map(|(&id, ubr)| {
+            .map(|(id, ubr)| {
                 (
-                    id,
-                    ubr.clone(),
-                    encode_leaf_record(id, &objects[&id].region),
+                    *id,
+                    encode_secondary(ubr, &objects[id], &db.domain, quantize),
                 )
             })
             .collect();
-        octree_items.sort_unstable_by_key(|(id, _, _)| *id);
-
-        let (octree, secondary) = if bulk {
-            let items: Vec<(HyperRect, Vec<u8>)> = octree_items
-                .into_iter()
-                .map(|(_, ubr, rec)| (ubr, rec))
-                .collect();
-            let octree = Octree::bulk_load(
-                pager.clone(),
-                db.domain.clone(),
-                params.mem_budget,
-                leaf_record_len,
-                &items,
-            );
-            let secondary = ExtHash::bulk_build(
-                pager.clone(),
-                secondary_records.iter().map(|(id, r)| (*id, r.as_slice())),
-            );
-            (octree, secondary)
-        } else {
-            let mut octree = Octree::new(
-                pager.clone(),
-                db.domain.clone(),
-                params.mem_budget,
-                leaf_record_len,
-            );
-            let mut secondary = ExtHash::new(pager.clone());
-            for (id, record) in &secondary_records {
-                secondary.put(*id, record);
-            }
-            let lookup = |i: u64| ubrs[&i].clone();
-            for (_, ubr, record) in &octree_items {
-                octree.insert(ubr, record, &lookup);
-            }
-            (octree, secondary)
-        };
+        let ubrs: HashMap<u64, HyperRect> = ubr_list.into_iter().collect();
+        let mut ids: Vec<u64> = ubrs.keys().copied().collect();
+        ids.sort_unstable();
+        let mut octree = Octree::new(
+            pager.clone(),
+            db.domain.clone(),
+            params.mem_budget,
+            8 + dim * 16,
+        );
+        let lookup = |i: u64| ubrs[&i].clone();
+        for id in &ids {
+            let record = encode_leaf_record(*id, &objects[id].region);
+            octree.insert(&ubrs[id], &record, &lookup);
+        }
+        let secondary = ExtHash::bulk_build(
+            pager.clone(),
+            secondary_records.iter().map(|(id, r)| (*id, r.as_slice())),
+        );
 
         let mut index = Self {
             params,

@@ -52,8 +52,9 @@ pub struct PvParams {
     pub mem_budget: usize,
     /// R*-tree fanout for the bootstrap index (paper: 100).
     pub rtree_fanout: usize,
-    /// Number of worker threads for bulk UBR construction (1 = serial;
-    /// not part of the paper, exposed for the parallel-build ablation).
+    /// Work-stealing workers for the build's UBR construction (0 and 1 both
+    /// run one worker; not part of the paper, exposed for the
+    /// parallel-build ablation).
     pub build_threads: usize,
     /// UBR compression (the paper's §VIII "compression" future-work item):
     /// when set, every stored UBR is snapped *outward* onto a grid of this

@@ -57,9 +57,10 @@ pub const RTREE_KIND: [u8; 4] = *b"PVRT";
 /// Since version 3 the format is *canonical*: the disk image is re-emitted
 /// from the logical state at save time, wall-clock durations are zeroed and
 /// `build_threads` is not stored, so any two logically equal indexes —
-/// bulk- or legacy-built, at any thread count — serialise to identical
-/// bytes. Version 4 dropped the two commit-path parameters (a separate
-/// update candidate set and a re-tightening budget) from the params block.
+/// fresh or reached by commits, built at any thread count — serialise to
+/// identical bytes. Version 4 dropped the two commit-path parameters (a
+/// separate update candidate set and a re-tightening budget) from the params
+/// block.
 /// Older files are rejected rather than mis-decoded: their params layouts
 /// differ, and version 2 also embedded a build-order-dependent page image.
 pub const PV_INDEX_VERSION: u16 = 4;
@@ -316,9 +317,9 @@ fn try_params(r: &mut codec::Reader) -> Result<PvParams, DecodeError> {
 /// and the secondary hash table are re-emitted onto a fresh disk in a fixed
 /// order — leaf records id-sorted, hash records re-encoded from the id
 /// catalogs — and all wall-clock durations are zeroed. Two logically equal
-/// indexes therefore produce identical bytes regardless of how they were
-/// built (bulk vs. per-object insertion, any `build_threads`), which is what
-/// the build-equivalence suite asserts on.
+/// indexes therefore produce identical bytes whatever page history built
+/// them (the build's bulk-built hash table or a commit's `put`s, any
+/// `build_threads`), which is what the build-equivalence suite asserts on.
 pub fn pv_index_to_bytes(index: &PvIndex) -> Vec<u8> {
     let mut w = SnapshotWriter::new(PV_INDEX_KIND, PV_INDEX_VERSION);
     let out = w.buf();

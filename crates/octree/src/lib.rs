@@ -487,84 +487,6 @@ impl<P: Pager> Octree<P> {
         &self.pager
     }
 
-    /// Bulk-loads a tree from a completed `(ubr, record)` catalog, replaying
-    /// the exact split/chain decision sequence of inserting the items one at
-    /// a time — but entirely in memory, with leaf pages emitted once at the
-    /// end ([`PageList::build_from_records`], one write per page).
-    ///
-    /// The resulting tree is *logically identical* to
-    /// `items.iter().for_each(|(ubr, rec)| tree.insert(ubr, rec, …))` on an
-    /// empty tree built with the same arguments: same arena (shape and
-    /// numbering — splits allocate children at the same points of the
-    /// sequence), same per-leaf records in the same chain order, same
-    /// `mem_used`. Only the physical page ids differ, because the
-    /// incremental path allocates and frees transient pages during splits
-    /// while the bulk path allocates each final page exactly once. The
-    /// PV-index's canonical snapshot re-emission erases that difference.
-    ///
-    /// Records resolve their own UBRs positionally — the UBR paired with a
-    /// record is what split re-routing uses — so no lookup callback is
-    /// needed; the catalog must be complete before loading.
-    pub fn bulk_load(
-        pager: P,
-        domain: HyperRect,
-        mem_budget: usize,
-        record_len_hint: usize,
-        items: &[(HyperRect, Vec<u8>)],
-    ) -> Self {
-        let dim = domain.dim();
-        let payload = pager.page_size() - 10; // PageList header
-        let per_record = record_len_hint + 2; // record length prefix
-        let split_threshold = (payload / per_record).max(2);
-        let mut b = BulkBuilder {
-            dim,
-            page_payload: PageList::page_payload(&pager),
-            mem_budget,
-            mem_used: 0,
-            split_threshold,
-            nodes: Vec::new(),
-            items,
-        };
-        let root = b.alloc_leaf();
-        for (i, item) in items.iter().enumerate() {
-            debug_assert_eq!(item.0.dim(), dim);
-            debug_assert!(item.1.len() >= 8, "record must start with the object id");
-            b.route(root, domain.clone(), i as u32, 0);
-        }
-        let nodes = b
-            .nodes
-            .iter()
-            .map(|node| match node {
-                BuildNode::Internal(children) => Arc::new(ONode::Internal(children.clone())),
-                BuildNode::Leaf {
-                    groups, entries, ..
-                } => {
-                    let list = PageList::build_from_records(
-                        &pager,
-                        groups
-                            .iter()
-                            .flatten()
-                            .map(|&r| items[r as usize].1.as_slice()),
-                    );
-                    Arc::new(ONode::Leaf {
-                        list,
-                        entries: *entries,
-                    })
-                }
-            })
-            .collect();
-        Self {
-            pager,
-            domain,
-            dim,
-            nodes,
-            root,
-            mem_budget,
-            mem_used: b.mem_used,
-            split_threshold,
-        }
-    }
-
     /// Re-emits every leaf chain onto `pager` in a canonical, history-free
     /// form: leaves are visited in arena order, their records sorted by
     /// object id, and each chain written with one write per page. The arena
@@ -714,142 +636,6 @@ impl<P: Pager> Octree<P> {
             mem_used,
             split_threshold,
         })
-    }
-}
-
-/// In-memory node used by [`Octree::bulk_load`]'s insertion replay.
-///
-/// A leaf models its future page chain as chronological first-fit *groups*
-/// of record indices — exactly the grouping [`PageList::append`] would
-/// produce — because the split decision sequence observes records in chain
-/// read order (newest group first), and reproducing that order is what
-/// makes the replay bit-faithful to incremental insertion.
-enum BuildNode {
-    Internal(Vec<u32>),
-    Leaf {
-        /// Page groups, oldest first; the chain head is the *last* group.
-        groups: Vec<Vec<u32>>,
-        /// Payload bytes used by the newest (last) group.
-        tail_used: usize,
-        entries: u32,
-    },
-}
-
-struct BulkBuilder<'a> {
-    dim: usize,
-    /// Per-page payload capacity ([`PageList::page_payload`]).
-    page_payload: usize,
-    mem_budget: usize,
-    mem_used: usize,
-    split_threshold: usize,
-    nodes: Vec<BuildNode>,
-    items: &'a [(HyperRect, Vec<u8>)],
-}
-
-impl BulkBuilder<'_> {
-    fn alloc_leaf(&mut self) -> u32 {
-        self.mem_used += leaf_node_cost();
-        let id = self.nodes.len() as u32;
-        self.nodes.push(BuildNode::Leaf {
-            groups: Vec::new(),
-            tail_used: 0,
-            entries: 0,
-        });
-        id
-    }
-
-    fn can_split(&self) -> bool {
-        let extra =
-            internal_node_cost(self.dim) - leaf_node_cost() + (1 << self.dim) * leaf_node_cost();
-        self.mem_used + extra <= self.mem_budget
-    }
-
-    /// Record indices in chain read order: newest group first, in-group
-    /// records in append order (mirrors [`PageList::read_all`]).
-    fn read_order(groups: &[Vec<u32>]) -> impl Iterator<Item = u32> + '_ {
-        groups.iter().rev().flatten().copied()
-    }
-
-    /// Mirrors `Octree::insert_rec`: descend to every leaf whose region
-    /// intersects the item's UBR.
-    fn route(&mut self, node: u32, region: HyperRect, item: u32, depth: usize) {
-        match &self.nodes[node as usize] {
-            BuildNode::Internal(children) => {
-                let children = children.clone();
-                let ubr = &self.items[item as usize].0;
-                for (i, child_region) in region.octants().into_iter().enumerate() {
-                    if child_region.intersects(ubr) {
-                        self.route(children[i], child_region, item, depth + 1);
-                    }
-                }
-            }
-            BuildNode::Leaf { .. } => self.leaf_insert(node, region, item, depth),
-        }
-    }
-
-    /// Mirrors `Octree::leaf_insert` decision for decision: threshold and
-    /// budget checks, the core-record split veto, chain-order re-routing.
-    fn leaf_insert(&mut self, node: u32, region: HyperRect, item: u32, depth: usize) {
-        let entries = match &self.nodes[node as usize] {
-            BuildNode::Leaf { entries, .. } => *entries,
-            BuildNode::Internal(_) => unreachable!(),
-        };
-        let mut should_split =
-            entries as usize >= self.split_threshold && self.can_split() && depth < 40;
-        if should_split {
-            let center = region.center();
-            let core = match &self.nodes[node as usize] {
-                BuildNode::Leaf { groups, .. } => Self::read_order(groups)
-                    .filter(|&r| self.items[r as usize].0.contains_point(&center))
-                    .count(),
-                BuildNode::Internal(_) => unreachable!(),
-            };
-            should_split = core < self.split_threshold;
-        }
-        if !should_split {
-            let len = self.items[item as usize].1.len();
-            let payload = self.page_payload;
-            match &mut self.nodes[node as usize] {
-                BuildNode::Leaf {
-                    groups,
-                    tail_used,
-                    entries,
-                } => {
-                    // First-fit append, as `PageList::append` would group it.
-                    if !groups.is_empty() && PageList::RECORD_OVERHEAD + len <= payload - *tail_used
-                    {
-                        groups.last_mut().expect("non-empty").push(item);
-                        *tail_used += PageList::RECORD_OVERHEAD + len;
-                    } else {
-                        groups.push(vec![item]);
-                        *tail_used = PageList::RECORD_OVERHEAD + len;
-                    }
-                    *entries += 1;
-                }
-                BuildNode::Internal(_) => unreachable!(),
-            }
-            return;
-        }
-        // Split: same child allocation order and the same (chain read order
-        // + the incoming record last) re-routing sequence as the
-        // incremental path, each record entering its child through `route`.
-        let old_records: Vec<u32> = match &self.nodes[node as usize] {
-            BuildNode::Leaf { groups, .. } => Self::read_order(groups).collect(),
-            BuildNode::Internal(_) => unreachable!(),
-        };
-        self.mem_used -= leaf_node_cost();
-        self.mem_used += internal_node_cost(self.dim);
-        let children: Vec<u32> = (0..(1 << self.dim)).map(|_| self.alloc_leaf()).collect();
-        self.nodes[node as usize] = BuildNode::Internal(children.clone());
-        let child_regions = region.octants();
-        for r in old_records.into_iter().chain([item]) {
-            let ubr = self.items[r as usize].0.clone();
-            for (i, child_region) in child_regions.iter().enumerate() {
-                if child_region.intersects(&ubr) {
-                    self.route(children[i], child_region.clone(), r, depth + 1);
-                }
-            }
-        }
     }
 }
 
@@ -1017,74 +803,31 @@ mod tests {
         }
     }
 
-    /// Structural equality: same arena (shape + numbering), same per-leaf
-    /// records in the same chain read order, same accounting.
-    fn assert_logically_equal(a: &Octree<MemPager>, b: &Octree<MemPager>) {
-        assert_eq!(a.root, b.root);
-        assert_eq!(a.mem_used, b.mem_used);
-        assert_eq!(a.split_threshold, b.split_threshold);
-        assert_eq!(a.nodes.len(), b.nodes.len());
-        for (i, (na, nb)) in a.nodes.iter().zip(&b.nodes).enumerate() {
-            match (na.as_ref(), nb.as_ref()) {
-                (ONode::Internal(ca), ONode::Internal(cb)) => assert_eq!(ca, cb, "node {i}"),
-                (
-                    ONode::Leaf {
-                        list: la,
-                        entries: ea,
-                    },
-                    ONode::Leaf {
-                        list: lb,
-                        entries: eb,
-                    },
-                ) => {
-                    assert_eq!(ea, eb, "node {i} entries");
-                    assert_eq!(
-                        la.read_all(&a.pager),
-                        lb.read_all(&b.pager),
-                        "node {i} records"
-                    );
-                }
-                _ => panic!("node {i}: kind mismatch"),
-            }
-        }
-    }
-
     #[test]
-    fn bulk_load_replays_incremental_insertion() {
-        for (n, mem, seed) in [
-            (40usize, 1usize << 20, 3u64),
-            (500, 1 << 20, 9),
-            (300, 600, 5),
-        ] {
-            let objs = random_objects(n, seed);
-            let mut incremental = Octree::new(MemPager::new(512), domain2d(), mem, 40);
-            insert_all(&mut incremental, &objs);
-            let items: Vec<(HyperRect, Vec<u8>)> = objs
-                .iter()
-                .map(|(id, ubr)| (ubr.clone(), encode_leaf_record(*id, ubr)))
-                .collect();
-            let bulk = Octree::bulk_load(MemPager::new(512), domain2d(), mem, 40, &items);
-            assert_logically_equal(&incremental, &bulk);
-            assert_eq!(incremental.stats(), bulk.stats());
-        }
-    }
-
-    #[test]
-    fn bulk_and_incremental_reemit_identical_pages() {
+    fn reemit_canonical_erases_insertion_history() {
         let objs = random_objects(400, 11);
         let mut incremental = Octree::new(MemPager::new(512), domain2d(), 1 << 20, 40);
         insert_all(&mut incremental, &objs);
-        let items: Vec<(HyperRect, Vec<u8>)> = objs
-            .iter()
-            .map(|(id, ubr)| (ubr.clone(), encode_leaf_record(*id, ubr)))
-            .collect();
-        let bulk = Octree::bulk_load(MemPager::new(512), domain2d(), 1 << 20, 40, &items);
-        // Live page images differ (split churn vs one-shot emission), but
-        // canonical re-emission onto fresh pagers is byte-identical.
+        // The same content with another history: every page id shifted by a
+        // device that already holds pages, and one object removed and
+        // re-inserted, so its records move to the heads of their chains.
+        let shifted = MemPager::new(512);
+        for _ in 0..7 {
+            shifted.alloc();
+        }
+        let mut other = Octree::new(shifted.clone(), domain2d(), 1 << 20, 40);
+        insert_all(&mut other, &objs);
+        let (id, ubr) = &objs[123];
+        other.remove(ubr, *id);
+        let lookup = |i: u64| objs[i as usize].1.clone();
+        other.insert(ubr, &encode_leaf_record(*id, ubr), &lookup);
+        assert_eq!(other.stats(), incremental.stats());
+        assert_ne!(shifted.image(), incremental.pager.image());
+        // Canonical re-emission onto fresh pagers is byte-identical.
         let pa = MemPager::new(512);
         let pb = MemPager::new(512);
         let ca = incremental.reemit_canonical(pa.clone());
-        let cb = bulk.reemit_canonical(pb.clone());
+        let cb = other.reemit_canonical(pb.clone());
         assert_eq!(pa.image(), pb.image());
         assert_eq!(ca.to_snapshot(), cb.to_snapshot());
         // Re-emission preserves query results.

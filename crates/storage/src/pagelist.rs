@@ -79,17 +79,6 @@ impl PageList {
         pager.page_size() - HDR - REC_HDR
     }
 
-    /// Payload capacity of one page (page size minus the chain header); a
-    /// record occupies [`PageList::RECORD_OVERHEAD`]` + len` of it. Exposed
-    /// so bulk loaders can predict `append`'s first-fit grouping without
-    /// touching pages.
-    pub fn page_payload(pager: &dyn Pager) -> usize {
-        pager.page_size() - HDR
-    }
-
-    /// Framing bytes each record adds on top of its payload length.
-    pub const RECORD_OVERHEAD: usize = REC_HDR;
-
     /// Appends a record.
     ///
     /// Follows the paper's policy: try the head page; if it cannot fit the
@@ -137,7 +126,8 @@ impl PageList {
     /// headers, identical newest-page-at-head chaining, and pages allocated
     /// in the same (chronological) order. The difference is purely the write
     /// pattern — O(pages) writes instead of O(records) read-modify-write
-    /// cycles — which is what the octree bulk loader leans on.
+    /// cycles — which is what the octree's canonical snapshot re-emission
+    /// leans on.
     pub fn build_from_records<'a>(
         pager: &dyn Pager,
         records: impl IntoIterator<Item = &'a [u8]>,

@@ -1,21 +1,22 @@
-//! Build-equivalence suite for the scalable construction pipeline (PR 8).
+//! Build-equivalence suite for the construction pipeline.
 //!
-//! The build has three independently swappable parts — work-stealing Phase-1
-//! parallelism, bottom-up bulk loading of both disk structures, and the
-//! opt-in approximate-UBR mode — and each one is only admissible if it is
-//! *invisible* in the artifact. The lock is byte equality of canonical
-//! snapshots: [`pv_index_to_bytes`] re-emits the disk image from the logical
-//! state, so two builds serialise identically iff they agree on every UBR,
-//! every octree split decision and every stored record.
+//! The build has two independently swappable parts — work-stealing Phase-1
+//! parallelism and the opt-in approximate-UBR mode — and each one is only
+//! admissible if it is *invisible* in the artifact, or provably sound. The
+//! lock is byte equality of canonical snapshots: [`pv_index_to_bytes`]
+//! re-emits the disk image from the logical state, so two builds serialise
+//! identically iff they agree on every UBR, every octree split decision and
+//! every stored record.
 //!
-//! * **bulk ≡ legacy** (proptest, dims 2–4): the bottom-up bulk load must
-//!   reproduce the per-object insertion build exactly;
-//! * **parallel ≡ serial** (threads 2/4/8): the work-stealing scheduler's
-//!   batch merge must make thread count unobservable;
+//! * **parallel ≡ serial** (threads 0/2/4/8, dims 2–4, with and without UBR
+//!   quantization): the work-stealing scheduler's batch merge must make
+//!   thread count unobservable;
 //! * **approx soundness**: `approx_ubr(ε)` may inflate each stored UBR by at
 //!   most ε per axis side, and never changes query answers;
 //! * **worker panics are values**: a poisoned object surfaces as
-//!   [`BuildError::WorkerPanicked`] from `try_build`, at any thread count.
+//!   [`BuildError::WorkerPanicked`] from `try_build`, at any thread count;
+//! * **empty databases build**: at any thread count, and the empty index
+//!   takes a first insert.
 //!
 //! The vendored proptest runner is deterministic; `PROPTEST_CASES` scales
 //! the case count for the scheduled deep-fuzz job (as in `cow_sharing.rs`).
@@ -48,52 +49,34 @@ fn seed_db(n: usize, dim: usize, seed: u64) -> UncertainDb {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The bottom-up bulk load (octree midpoint partitioning + one-shot hash
-    /// directory sizing) must be byte-indistinguishable from the legacy
-    /// per-object insertion build — including under UBR quantization, whose
-    /// shorter records shift every page-fit decision.
+    /// Work-stealing workers race for object batches, so only the
+    /// deterministic batch merge keeps thread count out of the artifact:
+    /// every thread count (0 runs one worker, as 1 does) must serialise to
+    /// the serial build's bytes — including under UBR quantization, whose
+    /// shorter secondary records shift every page-fit decision.
     #[test]
-    fn bulk_load_matches_legacy_insertion_bytes(
+    fn parallel_build_matches_serial_bytes(
         dim in 2usize..=4,
         n in 40usize..=160,
         seed in 0u64..1_000,
         quantize in any::<bool>(),
     ) {
-        let db = seed_db(n, dim, 7_000 + seed);
-        let params = PvParams {
+        let db = seed_db(n, dim, 11_000 + seed);
+        let serial = PvParams {
             ubr_quantize_steps: quantize.then_some(2_048u16),
             ..Default::default()
         };
-        let bulk = PvIndex::build(&db, params);
-        let legacy = PvIndex::build_legacy(&db, params);
-        prop_assert_eq!(
-            pv_index_to_bytes(&bulk),
-            pv_index_to_bytes(&legacy),
-            "bulk and legacy builds diverge (dim {}, n {}, seed {})",
-            dim, n, seed
-        );
-    }
-
-    /// Work-stealing workers race for object batches, so only the
-    /// deterministic batch merge keeps thread count out of the artifact:
-    /// every thread count must serialise to the serial build's bytes.
-    #[test]
-    fn parallel_build_matches_serial_bytes(
-        dim in 2usize..=4,
-        seed in 0u64..1_000,
-    ) {
-        let db = seed_db(90, dim, 11_000 + seed);
-        let serial = pv_index_to_bytes(&PvIndex::build(&db, PvParams::default()));
-        for threads in [2usize, 4, 8] {
+        let want = pv_index_to_bytes(&PvIndex::build(&db, serial));
+        for threads in [0usize, 2, 4, 8] {
             let params = PvParams {
                 build_threads: threads,
-                ..Default::default()
+                ..serial
             };
             prop_assert_eq!(
                 &pv_index_to_bytes(&PvIndex::build(&db, params)),
-                &serial,
-                "{}-thread build diverges from serial (dim {}, seed {})",
-                threads, dim, seed
+                &want,
+                "{}-thread build diverges from serial (dim {}, n {}, seed {}, quantize {})",
+                threads, dim, n, seed, quantize
             );
         }
     }
@@ -151,9 +134,9 @@ proptest! {
 }
 
 /// A panicking Phase-1 worker must come back as a typed error from
-/// `try_build` — at every thread count, including the serial path — with the
+/// `try_build` — at every thread count, a serial build included — with the
 /// panic message preserved, and must not leave detached threads running
-/// (thread::scope joins all workers before `build_inner` returns).
+/// (thread::scope joins all workers before `try_build` returns).
 #[test]
 fn poisoned_worker_surfaces_as_build_error() {
     use pv_suite::core::index::BUILD_POISON_ID;
@@ -167,7 +150,7 @@ fn poisoned_worker_surfaces_as_build_error() {
     db.objects[30].id = victim;
 
     BUILD_POISON_ID.store(victim, Ordering::SeqCst);
-    for threads in [1usize, 2, 4] {
+    for threads in [0usize, 1, 2, 4] {
         let params = PvParams {
             build_threads: threads,
             ..Default::default()
@@ -188,4 +171,32 @@ fn poisoned_worker_surfaces_as_build_error() {
         PvIndex::try_build(&db, PvParams::default()).unwrap().len(),
         60
     );
+}
+
+/// An empty database has no Phase-1 batch, yet every thread count —
+/// `build_threads: 0` included — still runs one worker and builds; the
+/// empty index then takes a first insert and answers like a scan.
+#[test]
+fn empty_database_builds_and_accepts_an_insert() {
+    let one = seed_db(1, 2, 123);
+    let empty = UncertainDb::new(one.domain.clone(), Vec::new());
+    let q = one.objects[0].region.center();
+    let want = LinearScan::new(&one)
+        .execute(&q, &QuerySpec::new())
+        .expect("ground truth")
+        .answers;
+    for threads in [0usize, 1, 2] {
+        let params = PvParams {
+            build_threads: threads,
+            ..Default::default()
+        };
+        let mut index = PvIndex::try_build(&empty, params).expect("empty build");
+        assert!(index.is_empty(), "{threads}-thread build of nothing");
+        index
+            .insert(one.objects[0].clone())
+            .expect("first insert into an empty index");
+        assert_eq!(index.ids(), vec![one.objects[0].id]);
+        let got = index.execute(&q, &QuerySpec::new()).expect("query");
+        assert_eq!(got.answers, want, "{threads}-thread build");
+    }
 }

@@ -131,13 +131,13 @@ proptest! {
     }
 }
 
-/// Torture case for PR 8's bottom-up bulk load feeding the COW commit path:
-/// the bulk loader writes each octree leaf page exactly once and sizes the
-/// hash directory up front, producing a page image with a very different
-/// allocation history than incremental insertion. Forked commits on top of
-/// that image must still leave every pinned snapshot exact — including the
-/// approximate-UBR variant, whose looser leaves shift which pages commits
-/// touch.
+/// Torture case for a freshly built image feeding the COW commit path: the
+/// build inserts every object into the octree as commits do, but bulk-loads
+/// the hash table (`ExtHash::bulk_build`, directory sized up front), so the
+/// commits fork a page image no commit sequence produced. Forked commits on
+/// top of that image must still leave every pinned snapshot exact —
+/// including the approximate-UBR variant, whose looser leaves shift which
+/// pages commits touch.
 #[test]
 fn bulk_loaded_image_survives_commit_torture() {
     for (label, params) in [

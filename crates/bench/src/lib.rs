@@ -1,13 +1,12 @@
 //! # pv-bench — experiment harness for §VII of the paper
 //!
-//! Shared machinery for the `experiments` binary and the criterion benches:
-//! scale presets, workload builders, measurement loops and table/CSV output.
-//! Every public function in [`figures`] regenerates one figure (or the
-//! analysis behind one figure) of the paper's evaluation; the
-//! command → figure mapping is in the README ("Reproducing the paper's
-//! evaluation"). The criterion benches time individual kernels. Performance
-//! claims about the engine are measured by the repository benchmark
-//! (`BENCHMARK.json`, run by the separate `perfbench` package), not here.
+//! Shared machinery for the `experiments` binary: scale presets, workload
+//! builders, measurement loops and table/CSV output. Every public function
+//! in [`figures`] regenerates one figure (or the analysis behind one figure)
+//! of the paper's evaluation; the command → figure mapping is in the README
+//! ("Reproducing the paper's evaluation"). Performance claims about the
+//! engine are measured by the repository benchmark (`BENCHMARK.json`, run by
+//! the separate `perfbench` package), not here.
 
 #![deny(missing_docs)]
 

@@ -36,7 +36,7 @@ impl Table {
         format!("{x}")
     }
 
-    /// Milliseconds with two decimals.
+    /// Milliseconds with three decimals.
     pub fn ms(d: std::time::Duration) -> String {
         format!("{:.3}", d.as_secs_f64() * 1e3)
     }

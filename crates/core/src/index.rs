@@ -130,9 +130,10 @@ fn secondary_payload_offset(buf: &[u8], dim: usize) -> Result<usize, codec::Deco
 
 /// Decodes a record written by [`encode_secondary`].
 ///
-/// Corruption — a truncated buffer or a tag no known version writes — is
-/// reported through the codec layer as a [`codec::DecodeError`] instead of
-/// panicking, so callers holding untrusted pages can recover.
+/// Corruption — a truncated buffer, a tag no known version writes, or raw
+/// UBR corners that are NaN or inverted — is reported through the codec
+/// layer as a [`codec::DecodeError`] instead of panicking, so callers
+/// holding untrusted pages can recover.
 pub fn decode_secondary(
     buf: &[u8],
     dim: usize,
@@ -143,7 +144,9 @@ pub fn decode_secondary(
         0 => {
             let lo: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
             let hi: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
-            let ubr = HyperRect::new(lo, hi);
+            let ubr = HyperRect::try_new(lo, hi).ok_or(codec::DecodeError::Invalid {
+                context: "secondary record UBR corners",
+            })?;
             // The Reader just consumed exactly this prefix, so the tail
             // window is always present; `get` keeps the decoder total.
             let obj = UncertainObject::try_decode(buf.get(2 + dim * 16..).unwrap_or_default())?;
@@ -217,9 +220,9 @@ fn se_run(
 
 impl PvIndex {
     /// Builds the PV-index for a database: computes every UBR with SE on
-    /// [`PvParams::build_threads`] work-stealing workers, inserts each
-    /// object's leaf record into the octree as a commit does (§VI-A), and
-    /// bulk-builds the secondary hash table.
+    /// [`PvParams::build_threads`] work-stealing workers, then inserts each
+    /// object's leaf record into the octree (§VI-A) and its secondary record
+    /// into the hash table, as a commit does.
     ///
     /// # Panics
     /// If a construction worker panics; serving layers that must survive
@@ -325,32 +328,22 @@ impl PvIndex {
             return Err(crate::BuildError::WorkerPanicked { message });
         }
         let mut se_total = SeStats::default();
-        let mut ubr_list: Vec<(u64, HyperRect)> = Vec::with_capacity(n);
+        let mut ubrs: HashMap<u64, HyperRect> = HashMap::with_capacity(n);
         for batch in merged {
             for (id, ubr, st) in batch.expect("all batches claimed by drained workers") {
                 se_total.absorb(&st);
-                ubr_list.push((id, ubr));
+                ubrs.insert(id, ubr);
             }
         }
 
-        // Phase 2: the primary index takes each object's leaf record through
-        // `Octree::insert`, as a commit does, in ascending id order (splits
+        // Phase 2, as commits do: the primary index takes each object's leaf
+        // record through `Octree::insert` in ascending id order (splits
         // re-route by the whole catalog, so the insertion sequence shapes
-        // the tree); the secondary index is bulk-built in object order.
+        // the tree), then the secondary index `put`s each object's record in
+        // object order.
         let t_insert = Instant::now();
         let objects: HashMap<u64, UncertainObject> =
             db.objects.iter().map(|o| (o.id, o.clone())).collect();
-        let quantize = params.ubr_quantize_steps;
-        let secondary_records: Vec<(u64, Vec<u8>)> = ubr_list
-            .iter()
-            .map(|(id, ubr)| {
-                (
-                    *id,
-                    encode_secondary(ubr, &objects[id], &db.domain, quantize),
-                )
-            })
-            .collect();
-        let ubrs: HashMap<u64, HyperRect> = ubr_list.into_iter().collect();
         let mut ids: Vec<u64> = ubrs.keys().copied().collect();
         ids.sort_unstable();
         let mut octree = Octree::new(
@@ -364,10 +357,11 @@ impl PvIndex {
             let record = encode_leaf_record(*id, &objects[id].region);
             octree.insert(&ubrs[id], &record, &lookup);
         }
-        let secondary = ExtHash::bulk_build(
-            pager.clone(),
-            secondary_records.iter().map(|(id, r)| (*id, r.as_slice())),
-        );
+        let mut secondary = ExtHash::new(pager.clone());
+        for o in &db.objects {
+            let record = encode_secondary(&ubrs[&o.id], o, &db.domain, params.ubr_quantize_steps);
+            secondary.put(o.id, &record);
+        }
 
         let mut index = Self {
             params,

@@ -54,7 +54,7 @@ pub fn compute_ubr(
     let dom_stats = DominationStats::default();
     // One run per SE invocation: flattens the candidate set once and carries
     // the move-to-front candidate order across slab tests (see
-    // `DominationRun`); results are identical to the stateless form.
+    // `DominationRun`; the order never changes a result).
     let mut dom_run = DominationRun::new(&cset.regions, &o.region);
 
     // Algorithm 1's initial bounds: h = D, l = u(o) (Lemma 5).

@@ -85,10 +85,16 @@ pub fn put_rect(out: &mut Vec<u8>, r: &HyperRect) {
 }
 
 /// Reads a rectangle written by [`put_rect`].
+///
+/// # Errors
+/// [`DecodeError::Truncated`] when the corners run past the buffer, and
+/// [`DecodeError::Invalid`] when a corner is NaN or `lo > hi` on some axis.
 pub fn try_rect(r: &mut codec::Reader, dim: usize) -> Result<HyperRect, DecodeError> {
     let lo: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
     let hi: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
-    Ok(HyperRect::new(lo, hi))
+    HyperRect::try_new(lo, hi).ok_or(DecodeError::Invalid {
+        context: "snapshot rectangle corners",
+    })
 }
 
 /// Serialises a duration as nanoseconds (u64, saturating).
@@ -318,8 +324,8 @@ fn try_params(r: &mut codec::Reader) -> Result<PvParams, DecodeError> {
 /// order — leaf records id-sorted, hash records re-encoded from the id
 /// catalogs — and all wall-clock durations are zeroed. Two logically equal
 /// indexes therefore produce identical bytes whatever page history built
-/// them (the build's bulk-built hash table or a commit's `put`s, any
-/// `build_threads`), which is what the build-equivalence suite asserts on.
+/// them (a build's or a commit's page writes, any `build_threads`), which
+/// is what the build-equivalence suite asserts on.
 pub fn pv_index_to_bytes(index: &PvIndex) -> Vec<u8> {
     let mut w = SnapshotWriter::new(PV_INDEX_KIND, PV_INDEX_VERSION);
     let out = w.buf();
@@ -342,29 +348,21 @@ pub fn pv_index_to_bytes(index: &PvIndex) -> Vec<u8> {
         put_rect(out, &index.ubrs[id]);
     }
     // Canonical disk image: octree leaves first (records id-sorted within
-    // each leaf), then the hash table bulk-built from id-sorted re-encoded
-    // records. Allocation order on the fresh pager is thereby a pure
-    // function of the logical state.
+    // each leaf), then a fresh hash table that `put`s the re-encoded
+    // records in id order. Allocation order on the fresh pager is thereby
+    // a pure function of the logical state.
     let fresh = MemPager::new(index.params.page_size);
     let octree = index.octree.reemit_canonical(fresh.clone());
-    let records: Vec<(u64, Vec<u8>)> = ids
-        .iter()
-        .map(|id| {
-            (
-                *id,
-                crate::index::encode_secondary(
-                    &index.ubrs[id],
-                    &index.objects[id],
-                    &index.domain,
-                    index.params.ubr_quantize_steps,
-                ),
-            )
-        })
-        .collect();
-    let secondary = ExtHash::bulk_build(
-        fresh.clone(),
-        records.iter().map(|(id, r)| (*id, r.as_slice())),
-    );
+    let mut secondary = ExtHash::new(fresh.clone());
+    for id in &ids {
+        let record = crate::index::encode_secondary(
+            &index.ubrs[id],
+            &index.objects[id],
+            &index.domain,
+            index.params.ubr_quantize_steps,
+        );
+        secondary.put(*id, &record);
+    }
     put_pager_image(out, &fresh);
     codec::put_bytes(out, &octree.to_snapshot());
     codec::put_bytes(out, &secondary.to_snapshot());
@@ -525,6 +523,23 @@ mod tests {
             samples: 12,
             seed,
         })
+    }
+
+    #[test]
+    fn try_rect_rejects_inverted_and_nan_corners() {
+        for corners in [[5.0, 5.0, 1.0, 1.0], [f64::NAN, 0.0, 1.0, 1.0]] {
+            let mut buf = Vec::new();
+            for x in corners {
+                codec::put_f64(&mut buf, x);
+            }
+            assert!(
+                matches!(
+                    try_rect(&mut codec::Reader::new(&buf), 2),
+                    Err(DecodeError::Invalid { .. })
+                ),
+                "corners {corners:?}"
+            );
+        }
     }
 
     #[test]

@@ -48,6 +48,31 @@ fn domain(dim: usize) -> HyperRect {
     HyperRect::cube(dim, 0.0, DOMAIN_SIDE)
 }
 
+/// Raw (tag-`0`) UBR corners that are inverted or NaN are `Invalid`, not a
+/// panic or an inverted rectangle.
+#[test]
+fn raw_corners_inverted_or_nan_are_invalid() {
+    let dom = domain(2);
+    let o = UncertainObject::uniform(3, HyperRect::new(vec![1.0, 1.0], vec![2.0, 2.0]), 4);
+    let good = encode_secondary(
+        &HyperRect::new(vec![1.0, 1.0], vec![5.0, 5.0]),
+        &o,
+        &dom,
+        None,
+    );
+    for lo_x in [9.0, f64::NAN] {
+        let mut buf = good.clone();
+        buf[2..10].copy_from_slice(&lo_x.to_le_bytes());
+        assert!(
+            matches!(
+                decode_secondary(&buf, 2, &dom),
+                Err(DecodeError::Invalid { .. })
+            ),
+            "lo x {lo_x}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

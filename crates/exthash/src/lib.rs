@@ -252,124 +252,6 @@ impl<P: Pager> ExtHash<P> {
         }
     }
 
-    /// Builds a table from a batch of **distinct** keys in one pass: bucket
-    /// contents and the directory shape are computed entirely in memory by
-    /// replaying [`ExtHash::put`]'s split decisions, then every bucket page
-    /// is allocated and written exactly once (the directory is sized once
-    /// instead of doubling incrementally, and no transient page churn from
-    /// mid-build splits hits the pager).
-    ///
-    /// The result is logically identical to `put`ting the items in order
-    /// onto a fresh table — same directory, same bucket membership and
-    /// record order, same statistics — and, crucially, a deterministic
-    /// function of the item sequence: identical inputs emit identical pages
-    /// in an identical allocation order, which the PV-index's canonical
-    /// snapshot form relies on.
-    pub fn bulk_build<'a>(pager: P, items: impl IntoIterator<Item = (u64, &'a [u8])>) -> Self {
-        let items: Vec<(u64, &[u8])> = items.into_iter().collect();
-        debug_assert!(
-            {
-                let mut keys: Vec<u64> = items.iter().map(|&(k, _)| k).collect();
-                keys.sort_unstable();
-                keys.windows(2).all(|w| w[0] != w[1])
-            },
-            "bulk_build requires distinct keys"
-        );
-        let page_size = pager.page_size();
-        let inline_budget = (page_size - BUCKET_HDR - REC_FIXED) / 4;
-        // In-memory bucket model: item indices + the page bytes they occupy.
-        struct BBucket {
-            local_depth: u16,
-            recs: Vec<usize>,
-            bytes: usize,
-        }
-        let rec_bytes = |value: &[u8]| REC_FIXED + value.len().min(inline_budget);
-        let mut buckets: Vec<BBucket> = (0..2)
-            .map(|_| BBucket {
-                local_depth: 1,
-                recs: Vec::new(),
-                bytes: 0,
-            })
-            .collect();
-        let mut directory: Vec<usize> = vec![0, 1];
-        let mut global_depth = 1u32;
-        for (i, &(key, value)) in items.iter().enumerate() {
-            let need = rec_bytes(value);
-            loop {
-                let slot = (hash_key(key) & ((1u64 << global_depth) - 1)) as usize;
-                let b = directory[slot];
-                if buckets[b].bytes + need <= page_size - BUCKET_HDR {
-                    buckets[b].recs.push(i);
-                    buckets[b].bytes += need;
-                    break;
-                }
-                // Split `b`, mirroring `split_bucket`.
-                if u32::from(buckets[b].local_depth) == global_depth {
-                    assert!(
-                        global_depth < 32,
-                        "directory would exceed 2^32 entries; key distribution is degenerate"
-                    );
-                    let old = directory.clone();
-                    directory.extend_from_slice(&old);
-                    global_depth += 1;
-                }
-                let local_depth = buckets[b].local_depth;
-                let bit = 1u64 << local_depth;
-                let sibling = buckets.len();
-                let (stay, move_out): (Vec<usize>, Vec<usize>) = buckets[b]
-                    .recs
-                    .iter()
-                    .partition(|&&r| hash_key(items[r].0) & bit == 0);
-                let sum = |recs: &[usize]| recs.iter().map(|&r| rec_bytes(items[r].1)).sum();
-                buckets.push(BBucket {
-                    local_depth: local_depth + 1,
-                    bytes: sum(&move_out),
-                    recs: move_out,
-                });
-                buckets[b].bytes = sum(&stay);
-                buckets[b].recs = stay;
-                buckets[b].local_depth = local_depth + 1;
-                for (idx, s) in directory.iter_mut().enumerate() {
-                    if *s == b && (idx as u64) & bit != 0 {
-                        *s = sibling;
-                    }
-                }
-            }
-        }
-        // Emission: bucket pages in creation order, each record's overflow
-        // chain at its bucket-write point.
-        let pages: Vec<PageId> = buckets
-            .iter()
-            .map(|b| Self::alloc_bucket(&pager, b.local_depth))
-            .collect();
-        let mut table = Self {
-            pager,
-            directory: directory.iter().map(|&b| pages[b]).collect(),
-            global_depth,
-            entries: items.len(),
-            overflow_values: 0,
-            len_cache: HashMap::new(),
-        };
-        for (bi, bucket) in buckets.iter().enumerate() {
-            let records: Vec<Record> = bucket
-                .recs
-                .iter()
-                .map(|&r| {
-                    let (key, value) = items[r];
-                    let (inline, overflow) = table.store_value(value);
-                    Record {
-                        key,
-                        inline,
-                        overflow,
-                    }
-                })
-                .collect();
-            table.write_bucket(pages[bi], bucket.local_depth, &records);
-            table.len_cache.insert(pages[bi], records.len());
-        }
-        table
-    }
-
     /// Inserts or replaces the value under `key`. Returns `true` if the key
     /// already existed (replacement).
     pub fn put(&mut self, key: u64, value: &[u8]) -> bool {
@@ -702,83 +584,21 @@ mod tests {
     }
 
     #[test]
-    fn bulk_build_replays_put_sequence() {
-        for (n, page, seed_mul) in [
-            (0usize, 256usize, 1u64),
-            (50, 256, 37),
-            (2000, 256, 1),
-            (200, 512, 37),
-        ] {
-            let items: Vec<(u64, Vec<u8>)> = (0..n as u64)
-                .map(|k| {
-                    let len = (k as usize * seed_mul as usize) % 2000;
-                    (k * 7 + 3, vec![k as u8; len])
-                })
-                .collect();
-            let mut by_put = ExtHash::new(MemPager::new(page));
-            for (k, v) in &items {
-                by_put.put(*k, v);
-            }
-            let bulk = ExtHash::bulk_build(
-                MemPager::new(page),
-                items.iter().map(|(k, v)| (*k, v.as_slice())),
-            );
-            bulk.check_invariants();
-            assert_eq!(bulk.stats(), by_put.stats(), "n={n} page={page}");
-            // Physical page ids differ (the put path interleaves split and
-            // overflow allocations), but the directory *pattern* — which
-            // slots share a bucket — and every bucket's (key, value) record
-            // sequence must replay exactly.
-            let pattern = |t: &ExtHash<MemPager>| -> Vec<usize> {
-                let mut first: HashMap<PageId, usize> = HashMap::new();
-                t.directory
-                    .iter()
-                    .map(|&p| {
-                        let next = first.len();
-                        *first.entry(p).or_insert(next)
-                    })
-                    .collect()
-            };
-            assert_eq!(pattern(&bulk), pattern(&by_put), "n={n} page={page}");
-            let bucket_records = |t: &ExtHash<MemPager>| -> Vec<Vec<(u64, Vec<u8>)>> {
-                let mut seen: Vec<PageId> = Vec::new();
-                let mut out = Vec::new();
-                for &p in &t.directory {
-                    if seen.contains(&p) {
-                        continue;
-                    }
-                    seen.push(p);
-                    let (_, records) = ExtHash::<MemPager>::parse_bucket(&t.pager.read(p));
-                    out.push(
-                        records
-                            .iter()
-                            .map(|r| (r.key, t.load_value(r)))
-                            .collect::<Vec<_>>(),
-                    );
-                }
-                out
-            };
-            assert_eq!(
-                bucket_records(&bulk),
-                bucket_records(&by_put),
-                "n={n} page={page}"
-            );
-            for (k, v) in &items {
-                assert_eq!(bulk.get(*k).as_deref(), Some(v.as_slice()), "key {k}");
-            }
-            assert!(bulk.get(1).is_none());
-        }
-    }
-
-    #[test]
-    fn bulk_build_is_deterministic_bytes() {
+    fn put_sequence_is_deterministic_bytes() {
         let items: Vec<(u64, Vec<u8>)> = (0..700u64)
             .map(|k| (k, vec![k as u8; (k as usize * 13) % 900]))
             .collect();
+        let fill = |pager: &MemPager| {
+            let mut table = ExtHash::new(pager.clone());
+            for (k, v) in &items {
+                table.put(*k, v);
+            }
+            table
+        };
         let p1 = MemPager::new(256);
         let p2 = MemPager::new(256);
-        let a = ExtHash::bulk_build(p1.clone(), items.iter().map(|(k, v)| (*k, v.as_slice())));
-        let b = ExtHash::bulk_build(p2.clone(), items.iter().map(|(k, v)| (*k, v.as_slice())));
+        let a = fill(&p1);
+        let b = fill(&p2);
         assert_eq!(p1.image(), p2.image());
         assert_eq!(a.to_snapshot(), b.to_snapshot());
     }

@@ -7,11 +7,11 @@
 //! * [`dominates`]`(a, b, r)` decides **exactly** whether every point `p ∈ r`
 //!   satisfies `distmax(a, p) < distmin(b, p)`, i.e. whether `r` is fully
 //!   inside the dominated region `dom(a, b)` of Definition 3.
-//! * [`region_fully_dominated`] performs *domination-count estimation*: it
-//!   proves (conservatively) that a region `R` does not intersect the
-//!   non-dominated intersection `I(Cset, o)` by recursively partitioning `R`
-//!   into at most `mmax` pieces and showing each piece is dominated by *some*
-//!   member of the candidate set.
+//! * [`DominationRun::region_fully_dominated`] performs *domination-count
+//!   estimation*: it proves (conservatively) that a region `R` does not
+//!   intersect the non-dominated intersection `I(Cset, o)` by recursively
+//!   partitioning `R` into at most `mmax` pieces and showing each piece is
+//!   dominated by *some* member of the candidate set.
 //!
 //! # Why the exact test works
 //!
@@ -261,9 +261,23 @@ impl DominationRun {
         }
     }
 
-    /// Budgeted partition search proving `region ∩ I(cset, o) = ∅`; same
-    /// semantics and results as the stateless [`region_fully_dominated`]
-    /// (restricted to regions inside any [`DominationRun::prune_for`] bound).
+    /// Domination-count estimation (paper §V-B).
+    ///
+    /// Attempts to prove that `region ∩ I(cset, o) = ∅`, i.e. that every
+    /// point of `region` is dominated by at least one candidate in `cset`
+    /// with respect to `o`. The region is recursively bisected along its
+    /// longest side; a piece is discharged as soon as a *single* candidate
+    /// spatially dominates it. The procedure gives up once more than `mmax`
+    /// pieces exist (returning `false`, which is always safe: SE will then
+    /// simply not shrink the slab). `region` must lie inside any
+    /// [`DominationRun::prune_for`] bound.
+    ///
+    /// `cset` entries whose uncertainty region intersects `u(o)` contribute
+    /// nothing (`dom(a,o) = ∅` by Lemma 2) — callers typically pre-filter
+    /// them, but the test remains correct if they don't, because
+    /// `dominates` can never return `true` for such pairs.
+    ///
+    /// Complexity: `O(|part(R)| · |cset| · d)` with `|part(R)| ≤ mmax`.
     pub fn region_fully_dominated(
         &mut self,
         region: &HyperRect,
@@ -309,11 +323,10 @@ impl DominationRun {
         result
     }
 
-    /// The partition loop, monomorphised per dimension. Replicates the
-    /// original stateless algorithm exactly: same split point (midpoint of
-    /// the longest side, last dimension winning ties like
-    /// `HyperRect::longest_dim`), same LIFO piece order, same `mmax`
-    /// accounting, same degenerate-piece bailout.
+    /// The partition loop, monomorphised per dimension: split at the
+    /// midpoint of the longest side (last dimension winning ties like
+    /// `HyperRect::longest_dim`), LIFO piece order, `mmax` accounting, and a
+    /// bailout on degenerate pieces.
     ///
     /// The const-dimension arms (`D > 0`) additionally carry the per-survivor
     /// term cache described on [`DominationRun::terms`]: non-root scans
@@ -523,31 +536,6 @@ fn span_flat<const D: usize>(
     (min_total, max_total)
 }
 
-/// Domination-count estimation (paper §V-B).
-///
-/// Attempts to prove that `region ∩ I(cset, o) = ∅`, i.e. that every point of
-/// `region` is dominated by at least one candidate in `cset` with respect to
-/// `o`. The region is recursively bisected along its longest side; a piece is
-/// discharged as soon as a *single* candidate spatially dominates it. The
-/// procedure gives up once more than `mmax` pieces exist (returning `false`,
-/// which is always safe: SE will then simply not shrink the slab).
-///
-/// `cset` entries whose uncertainty region intersects `u(o)` contribute
-/// nothing (`dom(a,o) = ∅` by Lemma 2) — callers typically pre-filter them,
-/// but the test remains correct if they don't, because `dominates` can never
-/// return `true` for such pairs.
-///
-/// Complexity: `O(|part(R)| · |cset| · d)` with `|part(R)| ≤ mmax`.
-pub fn region_fully_dominated(
-    region: &HyperRect,
-    cset: &[HyperRect],
-    o: &HyperRect,
-    mmax: usize,
-    stats: Option<&DominationStats>,
-) -> bool {
-    DominationRun::new(cset, o).region_fully_dominated(region, mmax, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,14 +659,14 @@ mod tests {
         let (o, a1, a2, reg) = union_only_fixture();
         assert!(!dominates(&a1, &o, &reg));
         assert!(!dominates(&a2, &o, &reg));
-        assert!(region_fully_dominated(&reg, &[a1, a2], &o, 16, None));
+        assert!(DominationRun::new(&[a1, a2], &o).region_fully_dominated(&reg, 16, None));
     }
 
     #[test]
     fn budget_exhaustion_gives_up_safely() {
         let (o, a1, a2, reg) = union_only_fixture();
         // with a budget of 1 partition the union argument cannot be made
-        assert!(!region_fully_dominated(&reg, &[a1, a2], &o, 1, None));
+        assert!(!DominationRun::new(&[a1, a2], &o).region_fully_dominated(&reg, 1, None));
     }
 
     #[test]
@@ -686,20 +674,14 @@ mod tests {
         let o = r(&[0.0, 0.0], &[2.0, 2.0]);
         let a = r(&[10.0, 10.0], &[11.0, 11.0]);
         let reg = r(&[1.0, 1.0], &[3.0, 3.0]); // overlaps u(o) ⊆ V(o)
-        assert!(!region_fully_dominated(&reg, &[a], &o, 64, None));
+        assert!(!DominationRun::new(&[a], &o).region_fully_dominated(&reg, 64, None));
     }
 
     #[test]
     fn stats_are_recorded() {
         let (o, a1, a2, reg) = union_only_fixture();
         let stats = DominationStats::default();
-        assert!(region_fully_dominated(
-            &reg,
-            &[a1, a2],
-            &o,
-            16,
-            Some(&stats)
-        ));
+        assert!(DominationRun::new(&[a1, a2], &o).region_fully_dominated(&reg, 16, Some(&stats)));
         assert!(stats.dom_tests.get() > 0);
         assert!(stats.partitions.get() >= 2);
         assert_eq!(stats.proven_empty.get(), 1);
@@ -709,6 +691,6 @@ mod tests {
     fn empty_cset_cannot_prove_anything() {
         let o = r(&[0.0], &[1.0]);
         let reg = r(&[5.0], &[6.0]);
-        assert!(!region_fully_dominated(&reg, &[], &o, 8, None));
+        assert!(!DominationRun::new(&[], &o).region_fully_dominated(&reg, 8, None));
     }
 }

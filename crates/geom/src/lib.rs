@@ -9,9 +9,10 @@
 //!   Emrich et al. (SIGMOD 2010, the paper's reference \[17\]) deciding whether
 //!   every point of a rectangle `R` is strictly closer to rectangle `A` than
 //!   to rectangle `B` ([`dominates`]);
-//! * *domination-count estimation* ([`region_fully_dominated`]): a budgeted
-//!   recursive partitioning of `R` proving `R ∩ I(Cset, o) = ∅`, i.e. that the
-//!   whole region is covered by the dominated union `U(Cset, o)` (§V-B).
+//! * *domination-count estimation*
+//!   ([`DominationRun::region_fully_dominated`]): a budgeted recursive
+//!   partitioning of `R` proving `R ∩ I(Cset, o) = ∅`, i.e. that the whole
+//!   region is covered by the dominated union `U(Cset, o)` (§V-B).
 //!
 //! All distance computations are done on **squared** distances where possible
 //! to avoid `sqrt` in hot loops; public helpers expose both forms.
@@ -28,9 +29,7 @@ pub mod quantize;
 pub mod rect;
 
 pub use dist::{max_dist, max_dist_sq, max_dist_sq_rr, min_dist, min_dist_sq, min_dist_sq_rr, sq};
-pub use domination::{
-    dominates, point_dominated, region_fully_dominated, DominationRun, DominationStats,
-};
+pub use domination::{dominates, point_dominated, DominationRun, DominationStats};
 pub use point::Point;
 pub use quantize::{snap_outward, QuantizedRect};
 pub use rect::HyperRect;

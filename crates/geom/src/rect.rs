@@ -35,6 +35,17 @@ impl HyperRect {
         }
     }
 
+    /// Checked [`HyperRect::new`] for corners read from outside the program:
+    /// `None` when the corners differ in dimensionality or when `lo <= hi`
+    /// fails on some axis, which also rejects a NaN corner.
+    pub fn try_new(lo: Vec<f64>, hi: Vec<f64>) -> Option<Self> {
+        let valid = lo.len() == hi.len() && lo.iter().zip(&hi).all(|(l, h)| l <= h);
+        valid.then(|| Self {
+            lo: lo.into_boxed_slice(),
+            hi: hi.into_boxed_slice(),
+        })
+    }
+
     /// A rectangle degenerated to a single point.
     pub fn from_point(p: &Point) -> Self {
         Self::new(p.coords().to_vec(), p.coords().to_vec())
@@ -288,6 +299,17 @@ mod tests {
 
     fn r(lo: &[f64], hi: &[f64]) -> HyperRect {
         HyperRect::new(lo.to_vec(), hi.to_vec())
+    }
+
+    #[test]
+    fn try_new_rejects_mismatched_inverted_and_nan_corners() {
+        assert_eq!(
+            HyperRect::try_new(vec![0.0, 1.0], vec![0.0, 2.0]),
+            Some(r(&[0.0, 1.0], &[0.0, 2.0]))
+        );
+        assert!(HyperRect::try_new(vec![0.0], vec![1.0, 1.0]).is_none());
+        assert!(HyperRect::try_new(vec![5.0, 0.0], vec![1.0, 1.0]).is_none());
+        assert!(HyperRect::try_new(vec![0.0, f64::NAN], vec![1.0, 1.0]).is_none());
     }
 
     #[test]

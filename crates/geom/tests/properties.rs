@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use pv_geom::{
     dominates, max_dist_sq, max_dist_sq_rr, min_dist_sq, min_dist_sq_rr, point_dominated,
-    region_fully_dominated, HyperRect, Point,
+    DominationRun, HyperRect, Point,
 };
 
 /// Strategy: a rectangle in `[-100, 100]^d` with sides up to 40.
@@ -96,7 +96,7 @@ proptest! {
         o in arb_rect(2),
         r in arb_rect(2),
     ) {
-        if region_fully_dominated(&r, &cs, &o, 32, None) {
+        if DominationRun::new(&cs, &o).region_fully_dominated(&r, 32, None) {
             for p in r.corners().chain(std::iter::once(r.center())) {
                 let covered = cs.iter().any(|a| point_dominated(a, &o, &p));
                 prop_assert!(covered, "point {p:?} escaped the dominated union");

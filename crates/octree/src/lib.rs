@@ -488,9 +488,9 @@ impl<P: Pager> Octree<P> {
     }
 
     /// Re-emits every leaf chain onto `pager` in a canonical, history-free
-    /// form: leaves are visited in arena order, their records sorted by
-    /// object id, and each chain written with one write per page. The arena
-    /// itself (shape, numbering, budgets) carries over unchanged.
+    /// form: leaves are visited in arena order and each one's records are
+    /// appended to a fresh chain in object-id order. The arena itself
+    /// (shape, numbering, budgets) carries over unchanged.
     ///
     /// Two trees holding identical logical content — whatever
     /// insert/split/chain history produced their pages — re-emit identical
@@ -507,7 +507,10 @@ impl<P: Pager> Octree<P> {
                     recs.sort_by_key(|r| {
                         u64::from_le_bytes(r[0..8].try_into().expect("record has id"))
                     });
-                    let list = PageList::build_from_records(&pager, recs.iter().map(Vec::as_slice));
+                    let mut list = PageList::new();
+                    for rec in &recs {
+                        list.append(&pager, rec);
+                    }
                     Arc::new(ONode::Leaf {
                         list,
                         entries: *entries,
@@ -567,9 +570,9 @@ impl<P: Pager> Octree<P> {
     /// pager already holding the corresponding leaf pages.
     ///
     /// # Errors
-    /// Truncated buffers, unknown node tags and out-of-range references are
-    /// reported as [`codec::DecodeError`] — never a panic — so snapshot
-    /// corruption surfaces cleanly.
+    /// Truncated buffers, NaN or inverted domain corners, unknown node tags
+    /// and out-of-range references are reported as [`codec::DecodeError`] —
+    /// never a panic — so snapshot corruption surfaces cleanly.
     pub fn from_snapshot(pager: P, buf: &[u8]) -> Result<Self, codec::DecodeError> {
         let invalid = |context: &'static str| codec::DecodeError::Invalid { context };
         let mut r = codec::Reader::new(buf);
@@ -579,7 +582,8 @@ impl<P: Pager> Octree<P> {
         }
         let lo: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
         let hi: Vec<f64> = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
-        let domain = HyperRect::new(lo, hi);
+        let domain =
+            HyperRect::try_new(lo, hi).ok_or_else(|| invalid("octree snapshot domain corners"))?;
         let root = r.try_u32()?;
         let mem_budget = r.try_u64()? as usize;
         let mem_used = r.try_u64()? as usize;
@@ -657,13 +661,17 @@ pub fn encode_leaf_record(id: u64, rect: &HyperRect) -> Vec<u8> {
 ///
 /// # Errors
 /// [`codec::DecodeError::Truncated`] when `rec` is shorter than a
-/// `dim`-dimensional record.
+/// `dim`-dimensional record, and [`codec::DecodeError::Invalid`] when a
+/// corner is NaN or `lo > hi` on some axis.
 pub fn decode_leaf_record(rec: &[u8], dim: usize) -> Result<(u64, HyperRect), codec::DecodeError> {
     let mut r = codec::Reader::new(rec);
     let id = r.try_u64()?;
     let lo = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
     let hi = (0..dim).map(|_| r.try_f64()).collect::<Result<_, _>>()?;
-    Ok((id, HyperRect::new(lo, hi)))
+    let rect = HyperRect::try_new(lo, hi).ok_or(codec::DecodeError::Invalid {
+        context: "leaf record corners",
+    })?;
+    Ok((id, rect))
 }
 
 /// Reads a leaf record's id plus the squared min/max distance between its
@@ -989,6 +997,24 @@ mod tests {
         let (id, back) = decode_leaf_record(&rec, 3).unwrap();
         assert_eq!(id, 42);
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn record_codec_rejects_inverted_and_nan_corners() {
+        for (lo, hi) in [([5.0, 5.0], [1.0, 1.0]), ([f64::NAN, 0.0], [1.0, 1.0])] {
+            let mut rec = Vec::new();
+            codec::put_u64(&mut rec, 7);
+            for x in lo.into_iter().chain(hi) {
+                codec::put_f64(&mut rec, x);
+            }
+            assert!(
+                matches!(
+                    decode_leaf_record(&rec, 2),
+                    Err(codec::DecodeError::Invalid { .. })
+                ),
+                "lo {lo:?} hi {hi:?}"
+            );
+        }
     }
 
     #[test]

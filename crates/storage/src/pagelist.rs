@@ -118,53 +118,6 @@ impl PageList {
         true
     }
 
-    /// Builds a fresh chain holding `records` (in append order) with a
-    /// single write per page.
-    ///
-    /// The layout is byte-identical to `append`ing the same records one at a
-    /// time to an empty list: identical first-fit grouping, identical page
-    /// headers, identical newest-page-at-head chaining, and pages allocated
-    /// in the same (chronological) order. The difference is purely the write
-    /// pattern — O(pages) writes instead of O(records) read-modify-write
-    /// cycles — which is what the octree's canonical snapshot re-emission
-    /// leans on.
-    pub fn build_from_records<'a>(
-        pager: &dyn Pager,
-        records: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Self {
-        let page_size = pager.page_size();
-        let mut cur = PageId::NULL;
-        let mut page = vec![0u8; page_size];
-        let mut used = 0usize;
-        for record in records {
-            assert!(
-                record.len() <= Self::max_record_len(pager),
-                "record of {} bytes exceeds page capacity {}",
-                record.len(),
-                Self::max_record_len(pager)
-            );
-            if cur.is_null() || REC_HDR + record.len() > page_size - HDR - used {
-                if !cur.is_null() {
-                    pager.write(cur, &page);
-                }
-                let prev = cur;
-                cur = pager.alloc();
-                page.iter_mut().for_each(|b| *b = 0);
-                page[0..8].copy_from_slice(&prev.0.to_le_bytes());
-                used = 0;
-            }
-            let off = HDR + used;
-            page[off..off + 2].copy_from_slice(&(record.len() as u16).to_le_bytes());
-            page[off + 2..off + 2 + record.len()].copy_from_slice(record);
-            used += REC_HDR + record.len();
-            page[8..10].copy_from_slice(&(used as u16).to_le_bytes());
-        }
-        if !cur.is_null() {
-            pager.write(cur, &page);
-        }
-        Self { head: cur }
-    }
-
     /// Reads every record in the chain (head page first). Each page in the
     /// chain costs one read.
     pub fn read_all(&self, pager: &dyn Pager) -> Vec<Vec<u8>> {
@@ -291,44 +244,6 @@ mod tests {
         let mut buf = Vec::new();
         list.for_each_record(&pager, &mut buf, |rec| streamed.push(rec.to_vec()));
         assert_eq!(streamed, list.read_all(&pager));
-    }
-
-    #[test]
-    fn build_from_records_matches_append_bytes() {
-        // Same records through `append` and `build_from_records` on twin
-        // pagers: the resulting disk images must be byte-identical.
-        for (page_size, lens) in [
-            (64usize, vec![17usize; 12]),
-            (128, vec![5, 40, 40, 40, 3, 90, 1]),
-            (128, vec![]),
-            (256, vec![100; 7]),
-        ] {
-            let by_append = MemPager::new(page_size);
-            let bulk = MemPager::new(page_size);
-            let records: Vec<Vec<u8>> = lens
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| vec![i as u8 + 1; l])
-                .collect();
-            let mut a = PageList::new();
-            for r in &records {
-                a.append(&by_append, r);
-            }
-            let b = PageList::build_from_records(&bulk, records.iter().map(Vec::as_slice));
-            assert_eq!(a.head(), b.head(), "page_size {page_size}");
-            assert_eq!(by_append.image(), bulk.image(), "page_size {page_size}");
-            assert_eq!(b.read_all(&bulk), a.read_all(&by_append));
-        }
-    }
-
-    #[test]
-    fn build_from_records_write_count_is_pages() {
-        let pager = MemPager::new(64);
-        let records: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 17]).collect();
-        let w0 = pager.stats().snapshot().writes;
-        let list = PageList::build_from_records(&pager, records.iter().map(Vec::as_slice));
-        let writes = pager.stats().snapshot().writes - w0;
-        assert_eq!(writes, list.stats(&pager).pages as u64);
     }
 
     #[test]

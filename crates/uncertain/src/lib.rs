@@ -319,12 +319,9 @@ impl UncertainObject {
         };
         let lo = read_coords(&mut r)?;
         let hi = read_coords(&mut r)?;
-        if !lo.iter().zip(&hi).all(|(l, h)| l <= h) {
-            return Err(codec::DecodeError::Invalid {
-                context: "uncertain-object region corners",
-            });
-        }
-        let region = HyperRect::new(lo, hi);
+        let region = HyperRect::try_new(lo, hi).ok_or(codec::DecodeError::Invalid {
+            context: "uncertain-object region corners",
+        })?;
         let pdf = match r.try_u16()? {
             0 => Pdf::Uniform {
                 n: r.try_u32()?,

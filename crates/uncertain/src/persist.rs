@@ -86,12 +86,9 @@ pub fn from_bytes(buf: &[u8]) -> io::Result<UncertainDb> {
         let hi = (0..dim)
             .map(|_| r.try_f64())
             .collect::<Result<Vec<_>, _>>()?;
-        if !lo.iter().zip(&hi).all(|(l, h)| l <= h) {
-            return Err(DecodeError::Invalid {
-                context: "dataset domain corners",
-            });
-        }
-        let domain = HyperRect::new(lo, hi);
+        let domain = HyperRect::try_new(lo, hi).ok_or(DecodeError::Invalid {
+            context: "dataset domain corners",
+        })?;
         let n = r.try_usize("dataset object count")?;
         let mut objects = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {

@@ -132,12 +132,12 @@ proptest! {
 }
 
 /// Torture case for a freshly built image feeding the COW commit path: the
-/// build inserts every object into the octree as commits do, but bulk-loads
-/// the hash table (`ExtHash::bulk_build`, directory sized up front), so the
-/// commits fork a page image no commit sequence produced. Forked commits on
-/// top of that image must still leave every pinned snapshot exact —
-/// including the approximate-UBR variant, whose looser leaves shift which
-/// pages commits touch.
+/// build writes every object's octree records first and `put`s every hash
+/// record after, while a commit interleaves the two per object, so the
+/// commits fork a page image whose allocation order no commit sequence
+/// produced. Forked commits on top of that image must still leave every
+/// pinned snapshot exact — including the approximate-UBR variant, whose
+/// looser leaves shift which pages commits touch.
 #[test]
 fn bulk_loaded_image_survives_commit_torture() {
     for (label, params) in [

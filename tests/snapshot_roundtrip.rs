@@ -7,8 +7,11 @@
 //!   acceptance bar is 5×);
 //! * truncated and bit-flipped snapshot files surface `DecodeError` — never
 //!   a panic (proptest over cut points and flip positions);
-//! * a PV-index file of an older format version is rejected, never
-//!   mis-decoded, even when its checksum is valid.
+//! * a PV-index file of an older format version, or with swapped domain
+//!   corners, is rejected, never mis-decoded, even when its checksum is
+//!   valid;
+//! * the canonical bytes of two fixed builds are pinned by length and
+//!   FNV-1a 64.
 
 use proptest::prelude::*;
 use pv_suite::core::baseline::RTreeBaseline;
@@ -173,6 +176,50 @@ fn load_is_at_least_5x_faster_than_build() {
     );
 }
 
+/// The canonical snapshot bytes of two fixed builds, pinned by length and
+/// FNV-1a 64, with the live pager footprint. Both builds split their octree
+/// and their hash table, so the pins cover re-routing and bucket splits. The
+/// synthetic generator calls no libm function, so the constants hold on any
+/// x86-64 host.
+///
+/// A deliberate format or build-order change updates these constants, and
+/// CHANGES.md says why.
+#[test]
+fn canonical_bytes_are_pinned() {
+    let cases: [(usize, usize, Option<u16>, usize, u64, usize); 2] = [
+        (3, 400, None, 1_929_597, 0xdd71_7d2c_d520_c882, 1_844_224),
+        (2, 300, Some(4096), 118_425, 0xcc22_d948_e9b3_85c2, 89_088),
+    ];
+    for (dim, n, quantize, len, fnv, disk) in cases {
+        let db = synthetic(&SyntheticConfig {
+            n,
+            dim,
+            max_side: 150.0,
+            samples: 8,
+            seed: 1,
+        });
+        let params = PvParams {
+            build_threads: 2,
+            page_size: 1024,
+            ubr_quantize_steps: quantize,
+            ..PvParams::default()
+        };
+        let index = PvIndex::build(&db, params);
+        assert!(
+            index.octree_stats().leaf_nodes > 1,
+            "{dim}-D: octree never split"
+        );
+        assert!(
+            index.secondary_stats().buckets > 2,
+            "{dim}-D: hash never split"
+        );
+        let bytes = pv_index_to_bytes(&index);
+        assert_eq!(bytes.len(), len, "{dim}-D: snapshot length");
+        assert_eq!(fnv1a64(&bytes), fnv, "{dim}-D: snapshot FNV-1a 64");
+        assert_eq!(index.pager().disk_bytes(), disk, "{dim}-D: live disk bytes");
+    }
+}
+
 /// One snapshot, built once, shared by every corruption case.
 fn snapshot_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -182,6 +229,15 @@ fn snapshot_bytes() -> &'static [u8] {
     })
 }
 
+/// Re-seals a patched snapshot's trailing FNV-1a 64 checksum, so the
+/// decoder gets past the envelope to the patched field.
+fn reseal(bytes: &mut [u8]) {
+    // Envelope: "PVSN" | kind: 4 bytes | version: u16 LE | payload | fnv1a64.
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+}
+
 /// A version-3 PV-index file — the layout whose params block still held
 /// the commit-path candidate set and re-tightening budget — is rejected as
 /// `UnsupportedVersion`, even with its checksum re-sealed over the patched
@@ -189,17 +245,39 @@ fn snapshot_bytes() -> &'static [u8] {
 #[test]
 fn version_3_snapshot_is_unsupported() {
     let mut bytes = snapshot_bytes().to_vec();
-    // Envelope: "PVSN" | kind: 4 bytes | version: u16 LE | payload | fnv1a64.
     bytes[8..10].copy_from_slice(&3u16.to_le_bytes());
-    let body = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body]);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    reseal(&mut bytes);
     assert!(
         matches!(
             pv_index_from_bytes(&bytes),
             Err(DecodeError::UnsupportedVersion { found: 3, .. })
         ),
         "a re-sealed version-3 file must be rejected"
+    );
+}
+
+/// A PV-index file whose domain corners are swapped is `Invalid`, even with
+/// its checksum re-sealed.
+#[test]
+fn swapped_domain_corners_are_invalid() {
+    let domain = db2d(60, 75).domain; // the domain `snapshot_bytes` stores
+    let le = |xs: &[f64]| -> Vec<u8> { xs.iter().flat_map(|x| x.to_le_bytes()).collect() };
+    let (lo, hi) = (le(domain.lo()), le(domain.hi()));
+    let stored = [lo.as_slice(), hi.as_slice()].concat();
+    let mut bytes = snapshot_bytes().to_vec();
+    // The index's own domain is the first rectangle in the payload.
+    let at = bytes
+        .windows(stored.len())
+        .position(|w| w == stored)
+        .expect("the snapshot stores its domain");
+    bytes[at..at + stored.len()].copy_from_slice(&[hi, lo].concat());
+    reseal(&mut bytes);
+    assert!(
+        matches!(
+            pv_index_from_bytes(&bytes),
+            Err(DecodeError::Invalid { .. })
+        ),
+        "swapped domain corners must be rejected"
     );
 }
 

@@ -187,20 +187,21 @@ impl<P: Pager> ExtHash<P> {
         (local_depth, records)
     }
 
+    /// Writes a bucket page, encoding the records straight into the page
+    /// buffer; the unused tail is zero.
     fn write_bucket(&self, id: PageId, local_depth: u16, records: &[Record]) {
-        let mut page = vec![0u8; self.pager.page_size()];
-        page[0..2].copy_from_slice(&local_depth.to_le_bytes());
-        page[2..4].copy_from_slice(&(records.len() as u16).to_le_bytes());
-        let mut off = BUCKET_HDR;
+        let page_size = self.pager.page_size();
+        let mut page = Vec::with_capacity(page_size);
+        codec::put_u16(&mut page, local_depth);
+        codec::put_u16(&mut page, records.len() as u16);
         for rec in records {
-            let mut buf = Vec::with_capacity(REC_FIXED + rec.inline.len());
-            codec::put_u64(&mut buf, rec.key);
-            codec::put_u32(&mut buf, rec.inline.len() as u32);
-            codec::put_u64(&mut buf, rec.overflow.0);
-            buf.extend_from_slice(&rec.inline);
-            page[off..off + buf.len()].copy_from_slice(&buf);
-            off += buf.len();
+            codec::put_u64(&mut page, rec.key);
+            codec::put_u32(&mut page, rec.inline.len() as u32);
+            codec::put_u64(&mut page, rec.overflow.0);
+            page.extend_from_slice(&rec.inline);
         }
+        assert!(page.len() <= page_size, "bucket records overflow the page");
+        page.resize(page_size, 0);
         self.pager.write(id, &page);
     }
 
@@ -254,12 +255,19 @@ impl<P: Pager> ExtHash<P> {
 
     /// Inserts or replaces the value under `key`. Returns `true` if the key
     /// already existed (replacement).
+    ///
+    /// A replacement first removes the old record, exactly as
+    /// [`ExtHash::remove`] would, then inserts; either way the key's bucket is
+    /// read and parsed once, and again only after a split.
     pub fn put(&mut self, key: u64, value: &[u8]) -> bool {
-        let replaced = self.remove(key);
+        let mut bucket = self.bucket_of(key);
+        let (mut local_depth, mut records) = Self::parse_bucket(&self.pager.read(bucket));
+        let old = records.iter().position(|r| r.key == key);
+        if let Some(pos) = old {
+            self.remove_record(bucket, local_depth, &mut records, pos);
+        }
+        let replaced = old.is_some();
         loop {
-            let bucket = self.bucket_of(key);
-            let page = self.pager.read(bucket);
-            let (local_depth, mut records) = Self::parse_bucket(&page);
             let (inline, overflow) = self.store_value(value);
             records.push(Record {
                 key,
@@ -276,6 +284,8 @@ impl<P: Pager> ExtHash<P> {
             let rec = records.pop().expect("just pushed");
             self.free_overflow(&rec);
             self.split_bucket(bucket);
+            bucket = self.bucket_of(key);
+            (local_depth, records) = Self::parse_bucket(&self.pager.read(bucket));
         }
     }
 
@@ -392,12 +402,24 @@ impl<P: Pager> ExtHash<P> {
         let Some(pos) = records.iter().position(|r| r.key == key) else {
             return false;
         };
+        self.remove_record(bucket, local_depth, &mut records, pos);
+        true
+    }
+
+    /// Drops `records[pos]` from `bucket`'s parsed records: frees its
+    /// overflow chain, then writes the bucket back without it.
+    fn remove_record(
+        &mut self,
+        bucket: PageId,
+        local_depth: u16,
+        records: &mut Vec<Record>,
+        pos: usize,
+    ) {
         let victim = records.remove(pos);
         self.free_overflow(&victim);
-        self.write_bucket(bucket, local_depth, &records);
+        self.write_bucket(bucket, local_depth, records);
         self.len_cache.insert(bucket, records.len());
         self.entries -= 1;
-        true
     }
 
     /// True if `key` is present (cheaper than `get` for overflowed values).

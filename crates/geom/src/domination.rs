@@ -59,34 +59,42 @@ impl DominationStats {
     }
 }
 
+/// The larger of `a` and `b` as a plain compare-select. On non-NaN operands
+/// it returns the value `f64::max` does, up to the sign of a zero, without
+/// the NaN handling `f64::max` compiles to.
+#[inline(always)]
+fn max_sel(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The smaller of `a` and `b`; the counterpart of [`max_sel`].
+#[inline(always)]
+fn min_sel(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
 /// Evaluates `max((a_lo−t)², (a_hi−t)²) − clampdist(t, [b_lo,b_hi])²` at `t`.
 #[inline(always)]
 fn eval_dim_term(a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64, t: f64) -> f64 {
-    let max_term = sq(a_lo - t).max(sq(a_hi - t));
-    let gap = (b_lo - t).max(t - b_hi).max(0.0);
+    let max_term = max_sel(sq(a_lo - t), sq(a_hi - t));
+    let gap = max_sel(max_sel(b_lo - t, t - b_hi), 0.0);
     max_term - sq(gap)
-}
-
-/// Maximum over `t ∈ [t_lo, t_hi]` of
-/// `max((a_lo−t)², (a_hi−t)²) − clampdist(t, [b_lo,b_hi])²`.
-#[inline]
-fn dim_term_max(a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64, t_lo: f64, t_hi: f64) -> f64 {
-    let mut best = eval_dim_term(a_lo, a_hi, b_lo, b_hi, t_lo)
-        .max(eval_dim_term(a_lo, a_hi, b_lo, b_hi, t_hi));
-    let mid_a = 0.5 * (a_lo + a_hi);
-    for c in [mid_a, b_lo, b_hi] {
-        if c > t_lo && c < t_hi {
-            best = best.max(eval_dim_term(a_lo, a_hi, b_lo, b_hi, c));
-        }
-    }
-    best
 }
 
 /// Exact spatial-domination test (Emrich et al., SIGMOD'10): returns `true`
 /// iff **every** point `p` of rectangle `r` is *strictly* closer to every
 /// point of `a` than to any point of `b`, i.e. `r ⊆ dom(a, b)`.
 ///
-/// Runs in `O(d)`.
+/// Runs in `O(d)`: it sums the per-dimension maxima of the objective that
+/// [`DominationRun`]'s search evaluates, and tests the sum against 0.
 ///
 /// ```
 /// use pv_geom::{dominates, HyperRect};
@@ -99,33 +107,12 @@ fn dim_term_max(a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64, t_lo: f64, t_hi: f64
 pub fn dominates(a: &HyperRect, b: &HyperRect, r: &HyperRect) -> bool {
     debug_assert_eq!(a.dim(), b.dim());
     debug_assert_eq!(a.dim(), r.dim());
-    // Dimension-dispatched like `min_dist_sq`: SE's inner loop calls this
-    // once per candidate per partition piece, so the constant trip count for
-    // d ∈ {2, 3, 4} pays for the whole `PvIndex::build` phase. Every arm
-    // runs the same shared body, so results are bit-identical.
-    match a.dim() {
-        2 => dominates_body::<2>(a, b, r),
-        3 => dominates_body::<3>(a, b, r),
-        4 => dominates_body::<4>(a, b, r),
-        _ => dominates_body::<0>(a, b, r),
-    }
-}
-
-/// The single loop body behind [`dominates`]: `D > 0` pins the trip count
-/// at compile time (unrolled), `D = 0` falls back to the dynamic length —
-/// one set of per-dimension arithmetic either way.
-#[inline(always)]
-fn dominates_body<const D: usize>(a: &HyperRect, b: &HyperRect, r: &HyperRect) -> bool {
-    let d = if D > 0 { D } else { a.dim() };
-    let (alo, ahi) = (&a.lo()[..d], &a.hi()[..d]);
-    let (blo, bhi) = (&b.lo()[..d], &b.hi()[..d]);
-    let (rlo, rhi) = (&r.lo()[..d], &r.hi()[..d]);
     let mut total = 0.0;
-    for j in 0..d {
-        total += dim_term_max(alo[j], ahi[j], blo[j], bhi[j], rlo[j], rhi[j]);
-        // No early exit: per-dimension maxima of the remaining dimensions
-        // are finite but cannot be bounded cheaply enough to prove the sum
-        // final before the loop ends.
+    for j in 0..a.dim() {
+        let (a_lo, a_hi) = (a.lo()[j], a.hi()[j]);
+        let cand = [a_lo, a_hi, 0.5 * (a_lo + a_hi)];
+        let tgt = [b.lo()[j], b.hi()[j]];
+        total += dim_span(&cand, &tgt, r.lo()[j], r.hi()[j], 0).1;
     }
     total < 0.0
 }
@@ -330,8 +317,11 @@ impl DominationRun {
     ///
     /// The const-dimension arms (`D > 0`) additionally carry the per-survivor
     /// term cache described on [`DominationRun::terms`]: non-root scans
-    /// recompute only the split dimension's term and reload the rest, which
-    /// is where the bulk of the refinement time used to go.
+    /// recompute only the split dimension's term and reload the rest. Most
+    /// evaluations fall in pieces that no single candidate covers, which scan
+    /// their whole list, so the scan evaluates the objective and keeps
+    /// survivors without data-dependent branches; only a covering candidate
+    /// ends it early.
     fn search<const D: usize>(&mut self, mmax: usize) -> (bool, u64, u64) {
         let d = if D > 0 { D } else { self.dim };
         let stride = 2 * d;
@@ -343,7 +333,16 @@ impl DominationRun {
                 break true;
             };
             partitions += 1;
+            // Every scanned candidate is written to the next survivor slot,
+            // and the slot advances only past a survivor: the scan keeps its
+            // survivors without a data-dependent branch, in a range sized
+            // for the whole list and cut to the kept count afterwards.
             let surv_off = self.arena.len();
+            self.arena.resize(surv_off + f.len, 0);
+            if D > 0 {
+                self.terms.resize((surv_off + f.len) * stride, 0.0);
+            }
+            let mut kept = 0usize;
             let mut covered = false;
             let mut winner = 0usize;
             for i in 0..f.len {
@@ -397,13 +396,15 @@ impl DominationRun {
                     winner = i;
                     break;
                 }
-                if min_sum < 0.0 {
-                    // Still dominates part of the piece: keep for sub-pieces.
-                    self.arena.push(c as u32);
-                    if D > 0 {
-                        self.terms.extend_from_slice(&dim_terms[..stride]);
-                    }
+                // Kept for the sub-pieces iff it still dominates part of
+                // this piece.
+                let slot = surv_off + kept;
+                self.arena[slot] = c as u32;
+                if D > 0 {
+                    self.terms[slot * stride..(slot + 1) * stride]
+                        .copy_from_slice(&dim_terms[..stride]);
                 }
+                kept += usize::from(min_sum < 0.0);
             }
             if covered {
                 // Drop the partial survivor list and promote the witness so
@@ -423,6 +424,10 @@ impl DominationRun {
                 }
                 continue;
             }
+            self.arena.truncate(surv_off + kept);
+            if D > 0 {
+                self.terms.truncate((surv_off + kept) * stride);
+            }
             // Not covered by any single candidate: split and retry, if the
             // partition budget allows.
             if parts_created + 1 > mmax {
@@ -441,7 +446,7 @@ impl DominationRun {
                 }
             }
             let mid = 0.5 * (self.pieces[f.piece + j] + self.pieces[f.piece + d + j]);
-            let surv_len = self.arena.len() - surv_off;
+            let surv_len = kept;
             // Left child (upper bound moved to mid), then right child
             // (pushed last, popped first — same LIFO order as before). Both
             // share the parent's survivor range read-only (the in-range
@@ -472,51 +477,48 @@ impl DominationRun {
     }
 }
 
-/// Exact (min, max) over the piece `[plo, phi]` of
-/// `distmax(a,p)² − distmin(o,p)²`, the separable domination objective.
-///
-/// `max < 0` is exactly [`dominates`]; `min ≥ 0` proves no point of the
-/// piece (hence of any sub-piece) is dominated by the candidate. Each
-/// per-dimension term is piecewise quadratic with breakpoints at `mid(a)`,
-/// `b_lo`, `b_hi`: outside `[b_lo, b_hi]` the two unit parabolas cancel into
-/// linear pieces (extrema at piece endpoints), inside it equals the convex
-/// max-term (interior minimum at `mid(a)`, maxima at endpoints). Both
-/// extrema are therefore attained on the same ≤ 5 probe points the max-only
-/// test evaluates — the fused form costs essentially nothing extra.
 /// Single-dimension (min, max) term of the domination objective over
-/// `[t_lo, t_hi]` — the per-dimension body of [`span_flat`] for candidate
-/// dimension `j`, used by the incremental scans that recompute only the
-/// split dimension.
+/// `[t_lo, t_hi]` for candidate dimension `j` (`cand` in the run's flat
+/// `[a_lo, a_hi, mid]` layout, `tgt` as `[b_lo, b_hi]` pairs).
+///
+/// The term is piecewise quadratic with breakpoints at `mid(a)`, `b_lo` and
+/// `b_hi`: outside `[b_lo, b_hi]` the two unit parabolas cancel into linear
+/// pieces (extrema at piece endpoints), inside it equals the convex max-term
+/// (interior minimum at `mid(a)`, maxima at endpoints). So both extrema lie
+/// among five probes: the two endpoints and the three breakpoints clamped
+/// into the piece. A breakpoint outside the piece clamps onto an endpoint,
+/// whose value is already among the probes, so evaluating all five leaves
+/// the extrema exactly those of the endpoints plus the interior breakpoints
+/// — with no data-dependent branch.
+///
+/// Exactness of the selects: apart from NaN coordinates, which every
+/// rectangle decoder rejects, a term is NaN only when a squared coordinate
+/// difference overflows to infinity, which needs some |coordinate| ≥ 2^510.
+/// Below that, [`min_sel`]/[`max_sel`] agree with `f64::min`/`f64::max` up to
+/// the sign of a zero, and a zero's sign cannot flip the `< 0.0` tests on
+/// the dimension-order sums, since `x + ±0 = x` for `x ≠ 0`.
 #[inline(always)]
 fn dim_span(cand: &[f64], tgt: &[f64], t_lo: f64, t_hi: f64, j: usize) -> (f64, f64) {
     let (a_lo, a_hi, mid_a) = (cand[3 * j], cand[3 * j + 1], cand[3 * j + 2]);
     let (b_lo, b_hi) = (tgt[2 * j], tgt[2 * j + 1]);
-    // Interior probe points outside the piece evaluate (after clamping) to
-    // an endpoint value that is already in the min/max set, so skipping them
-    // leaves the extrema bit-identical — and most pieces are far from the
-    // target interval, so the skip usually fires.
-    let e0 = eval_dim_term(a_lo, a_hi, b_lo, b_hi, t_lo);
-    let e1 = eval_dim_term(a_lo, a_hi, b_lo, b_hi, t_hi);
-    let mut mn = e0.min(e1);
-    let mut mx = e0.max(e1);
-    if mid_a > t_lo && mid_a < t_hi {
-        let e2 = eval_dim_term(a_lo, a_hi, b_lo, b_hi, mid_a);
-        mn = mn.min(e2);
-        mx = mx.max(e2);
-    }
-    if b_lo > t_lo && b_lo < t_hi {
-        let e3 = eval_dim_term(a_lo, a_hi, b_lo, b_hi, b_lo);
-        mn = mn.min(e3);
-        mx = mx.max(e3);
-    }
-    if b_hi > t_lo && b_hi < t_hi {
-        let e4 = eval_dim_term(a_lo, a_hi, b_lo, b_hi, b_hi);
-        mn = mn.min(e4);
-        mx = mx.max(e4);
-    }
+    let term = |t| eval_dim_term(a_lo, a_hi, b_lo, b_hi, t);
+    let clamp = |c| min_sel(max_sel(c, t_lo), t_hi);
+    let e0 = term(t_lo);
+    let e1 = term(t_hi);
+    let e2 = term(clamp(mid_a));
+    let e3 = term(clamp(b_lo));
+    let e4 = term(clamp(b_hi));
+    let mn = min_sel(min_sel(min_sel(e0, e1), min_sel(e2, e3)), e4);
+    let mx = max_sel(max_sel(max_sel(e0, e1), max_sel(e2, e3)), e4);
     (mn, mx)
 }
 
+/// Exact (min, max) over the piece `[plo, phi]` of
+/// `distmax(a,p)² − distmin(o,p)²`, the separable domination objective: the
+/// per-dimension [`dim_span`] terms summed in dimension order.
+///
+/// `max < 0` is exactly [`dominates`]; `min ≥ 0` proves no point of the
+/// piece (hence of any sub-piece) is dominated by the candidate.
 #[inline(always)]
 fn span_flat<const D: usize>(
     cand: &[f64],

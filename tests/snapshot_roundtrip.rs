@@ -177,20 +177,40 @@ fn load_is_at_least_5x_faster_than_build() {
 }
 
 /// The canonical snapshot bytes of two fixed builds, pinned by length and
-/// FNV-1a 64, with the live pager footprint. Both builds split their octree
-/// and their hash table, so the pins cover re-routing and bucket splits. The
-/// synthetic generator calls no libm function, so the constants hold on any
-/// x86-64 host.
+/// FNV-1a 64, with the live pager footprint and the build's SE work
+/// counters. Both builds split their octree and their hash table, so the
+/// pins cover re-routing and bucket splits. The SE totals pin the work the
+/// domination search does, not just its verdicts: a faster search must
+/// evaluate as many candidates and pieces as before. The synthetic
+/// generator calls no libm function, so the constants hold on any x86-64
+/// host.
 ///
-/// A deliberate format or build-order change updates these constants, and
-/// CHANGES.md says why.
+/// A deliberate format, build-order or search change updates these
+/// constants, and CHANGES.md says why.
 #[test]
 fn canonical_bytes_are_pinned() {
-    let cases: [(usize, usize, Option<u16>, usize, u64, usize); 2] = [
-        (3, 400, None, 1_929_597, 0xdd71_7d2c_d520_c882, 1_844_224),
-        (2, 300, Some(4096), 118_425, 0xcc22_d948_e9b3_85c2, 89_088),
+    type Case = (usize, usize, Option<u16>, usize, u64, usize, [u64; 5]);
+    let cases: [Case; 2] = [
+        (
+            3,
+            400,
+            None,
+            1_929_597,
+            0xdd71_7d2c_d520_c882,
+            1_844_224,
+            [32_878, 17_037, 15_841, 7_600_330, 439_564],
+        ),
+        (
+            2,
+            300,
+            Some(4096),
+            118_425,
+            0xcc22_d948_e9b3_85c2,
+            89_088,
+            [16_226, 9_479, 6_747, 923_868, 164_530],
+        ),
     ];
-    for (dim, n, quantize, len, fnv, disk) in cases {
+    for (dim, n, quantize, len, fnv, disk, se_totals) in cases {
         let db = synthetic(&SyntheticConfig {
             n,
             dim,
@@ -217,6 +237,18 @@ fn canonical_bytes_are_pinned() {
         assert_eq!(bytes.len(), len, "{dim}-D: snapshot length");
         assert_eq!(fnv1a64(&bytes), fnv, "{dim}-D: snapshot FNV-1a 64");
         assert_eq!(index.pager().disk_bytes(), disk, "{dim}-D: live disk bytes");
+        let se = &index.build_stats().se;
+        assert_eq!(
+            [
+                se.slab_tests,
+                se.shrinks,
+                se.expands,
+                se.dom_tests,
+                se.partitions
+            ],
+            se_totals,
+            "{dim}-D: SE work counters (slab tests, shrinks, expands, domination tests, partitions)"
+        );
     }
 }
 
